@@ -29,6 +29,12 @@ less than 2.5x one shard's critical-path throughput)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --shard-smoke
 
+or as the audit-overhead gate (exit 1 if an audited run, or an audited
+run plus reading the whole trail back, is slower than its budgeted
+multiple of the unaudited run)::
+
+    PYTHONPATH=src python benchmarks/bench_engine_throughput.py --audit-smoke
+
 or as the UDF effect-analysis gate (strict-lints the example plan
 specs, asserts the proven-pure UDF arm compiles fully vectorized and
 the opaque arm does not, and requires the pure arm's fused columnar
@@ -44,7 +50,7 @@ import pytest
 from repro.algebra.expressions import ScanExpr
 from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
-from repro.observability import Observability
+from repro.observability import AuditLog, Observability
 from repro.operators.conditions import Comparison, FuncCondition
 from repro.workloads.synthetic import (SYNTH_SCHEMA, punctuated_stream,
                                        role_names)
@@ -58,6 +64,19 @@ MODES = {"plain": OptimizeLevel.NONE, "optimized": OptimizeLevel.PER_QUERY,
 #: live dashboard frames).
 OBSERVABILITY_TIERS = ("off", "tracing", "registry", "monitor")
 
+#: The audit axis: nothing, the audit log alone, and the audit log with
+#: the whole held trail read back after every run (``list(dsms.audit)``
+#: — events materialize on read, so that cost is timed, not hidden).
+AUDIT_TIERS = ("off", "audit", "audit_read")
+
+#: ``--audit-smoke`` budgets: the largest allowed slowdown (unaudited
+#: over audited throughput) at tuples_per_sp=100 with 4 queries.  On a
+#: 2-vCPU Xeon host with Python 3.11.7 (6,000 tuples, ~2.8 audit
+#: events per element) five gate runs measured 1.43-1.50x for the
+#: audit tier and 4.4-4.8x with the trail read back.
+AUDIT_BUDGET = 2.0
+AUDIT_READ_BUDGET = 6.5
+
 
 def _make_observability(tier: str) -> Observability:
     if tier == "off":
@@ -67,7 +86,17 @@ def _make_observability(tier: str) -> Observability:
         return Observability.with_tracing()
     if tier == "registry":
         return Observability.with_metrics()
+    if tier in ("audit", "audit_read"):
+        return Observability(audit=AuditLog())
     return Observability.in_memory()
+
+
+def _after_run(tier: str, dsms: DSMS) -> None:
+    """Per-run work a tier includes in its timing."""
+    if tier == "monitor":
+        _render_monitor_frame(dsms)
+    elif tier == "audit_read":
+        list(dsms.audit)
 
 
 def build_dsms(n_queries: int, elements, *,
@@ -246,8 +275,7 @@ def _measure_tiers(n_queries: int, tuples_per_sp: int, n_tuples: int,
             start = time.process_time()
             for _ in range(inner):
                 dsms.run(batching=True)
-                if tier == "monitor":
-                    _render_monitor_frame(dsms)
+                _after_run(tier, dsms)
             best[tier] = min(best[tier],
                              (time.process_time() - start) / inner)
             elements_in[tier] = dsms.last_report.elements_in
@@ -264,6 +292,8 @@ def _measure_tiers(n_queries: int, tuples_per_sp: int, n_tuples: int,
         eps = out[tier]["elements_per_second"]
         out[tier]["overhead_vs_off"] = round(
             (base - eps) / base if base else 0.0, 4)
+        out[tier]["slowdown_vs_off"] = round(base / eps if eps else 0.0,
+                                             3)
     return out
 
 
@@ -436,6 +466,19 @@ def main(out_path: str = "BENCH_throughput.json",
           f"{dense['elements_per_second']:>9,.0f} elem/s  "
           f"overhead={dense['overhead_vs_off']:+.1%}")
     report["observability"] = observability
+
+    # -- audit axis (batched, 4 queries, tuples_per_sp=100) ---------------
+    audit = _measure_tiers(4, 100, n_tuples, AUDIT_TIERS)
+    report["audit"] = {
+        "workload": observability["workload"],
+        "tiers": audit,
+        "max_slowdown": {"audit": AUDIT_BUDGET,
+                         "audit_read": AUDIT_READ_BUDGET},
+    }
+    for tier in AUDIT_TIERS[1:]:
+        print(f"audit tier={tier:>10}: "
+              f"{audit[tier]['elements_per_second']:>9,.0f} elem/s  "
+              f"slowdown={audit[tier]['slowdown_vs_off']:.2f}x")
 
     # -- shard-scaling axis (partitioned multi-core executor) --------------
     # Two regimes at tuples_per_sp=100.  The showcase is high query
@@ -708,6 +751,34 @@ def obs_smoke(n_tuples: int = 6_000, threshold: float = 0.20) -> int:
     return 0
 
 
+def audit_smoke(n_tuples: int = 6_000) -> int:
+    """CI gate on audit-log overhead (reduced workload).
+
+    Interleaved amortized CPU-time comparison (see ``_measure_tiers``)
+    at ``tuples_per_sp=100`` with 4 queries: the audited run may be at
+    most :data:`AUDIT_BUDGET` times slower than the unaudited run, and
+    the audited run plus ``list(dsms.audit)`` at most
+    :data:`AUDIT_READ_BUDGET` times.  Returns a process exit code.
+    """
+    tiers = _measure_tiers(4, 100, n_tuples, AUDIT_TIERS,
+                           inner=8, rounds=8)
+    failed = False
+    for tier, budget in (("audit", AUDIT_BUDGET),
+                         ("audit_read", AUDIT_READ_BUDGET)):
+        slowdown = tiers[tier]["slowdown_vs_off"]
+        print(f"audit-smoke {tier:>10}: "
+              f"{tiers[tier]['elements_per_second']:,.0f} elem/s vs "
+              f"off={tiers['off']['elements_per_second']:,.0f}  "
+              f"slowdown={slowdown:.2f}x (budget {budget:.1f}x)")
+        if slowdown > budget:
+            print(f"AUDIT REGRESSION: {tier} over its overhead budget")
+            failed = True
+    if failed:
+        return 1
+    print("audit-smoke OK")
+    return 0
+
+
 if __name__ == "__main__":
     import sys
 
@@ -715,6 +786,8 @@ if __name__ == "__main__":
         raise SystemExit(perf_smoke())
     if "--obs-smoke" in sys.argv:
         raise SystemExit(obs_smoke())
+    if "--audit-smoke" in sys.argv:
+        raise SystemExit(audit_smoke())
     if "--shard-smoke" in sys.argv:
         raise SystemExit(shard_smoke())
     if "--udf-smoke" in sys.argv:

@@ -19,12 +19,19 @@ Two execution modes share that delivery discipline:
   paths.  A Security Shield passes or drops a whole uniform segment in
   O(1); select/project filter and map runs in single comprehensions.
   Operators without a native batch path fall back to the per-element
-  loop automatically; operators whose audit events would reorder
-  under batching are unbatched while an audit log is attached; and a
-  batch reaching a fan-out (several downstream consumers) is split
-  back into tuples under audit so events interleave across branches
-  exactly as element-wise — so results and audit streams are
-  identical in both modes.
+  loop automatically, so results are identical in both modes.
+
+Audit order: with an :class:`~repro.observability.AuditLog` attached,
+batches still flow whole.  Each top-level batch's records are
+collected in an open block of the log and sealed in *order-key* order
+— the tuple's ordinal within the batch, then the plan path from the
+entry (output index and fan-out child index per hop), then the
+record's order within its operator call — which is exactly the
+element-wise record order.  Ordinals ride on the work stack, not on
+tuple identity, because Project creates new tuple objects.  Operators
+whose batch output is not their input's tuples (joins, group-by,
+intersect; see :attr:`~repro.operators.base.Operator.audit_batch_safe`)
+get their input per tuple under audit, each tuple keeping its ordinal.
 
 The push loop is iterative (an explicit work stack, LIFO with reversed
 pushes to preserve depth-first order), so deep plans never hit Python's
@@ -51,6 +58,7 @@ from repro.observability.provenance import Tracer
 from repro.observability.stats import StageStats, aggregate_stages
 from repro.observability.trace import NullTraceSink, TraceSink
 from repro.core.punctuation import SecurityPunctuation
+from repro.errors import PlanError
 from repro.stream.batch import (TupleBatch, coalesce_elements, coalesce_feed)
 from repro.stream.element import StreamElement
 from repro.stream.source import StreamSource, merge_sources
@@ -134,21 +142,21 @@ class Executor:
         #: Engine metric instruments (``None`` = metrics off; the run
         #: loop then pays one ``is None`` check per element).
         self.instruments = instruments
+        #: The audit log the plan's operators record into (``None``
+        #: when unaudited); see "Audit order" in the module docstring.
+        self._audit = next((node.operator.audit for node in plan.nodes
+                            if node.operator.audit is not None), None)
         #: Fused columnar chains, keyed by head node id (empty when the
-        #: columnar tier is off or no chain qualifies).
+        #: columnar tier is off, the plan is audited — a fused chain's
+        #: output tuples cannot carry order keys — or no chain
+        #: qualifies).
         self._fused = (build_fused_chains(plan)
-                       if batching and columnar else {})
+                       if batching and columnar and self._audit is None
+                       else {})
         #: Snapshot of the fusion row threshold (read from the module
         #: at construction so verification harnesses can lower it to
         #: force the kernels onto short segments).
         self._min_fused_rows = _fusion.MIN_FUSED_ROWS
-        # With a live audit log, a TupleBatch delivered to a fan-out
-        # (several downstream consumers) must be split back into tuples
-        # so audit events interleave across branches exactly as in
-        # element-wise execution; see _push.
-        self._audit_live = any(
-            getattr(node.operator, "audit", None) is not None
-            for node in self.plan.nodes)
 
     def run(self) -> ExecutionReport:
         """Consume all sources to exhaustion, then flush the plan."""
@@ -176,7 +184,8 @@ class Executor:
                 feed = coalesce_feed(feed)
         push = self._push
         instruments = self.instruments
-        audit_live = self._audit_live
+        audit = self._audit
+        deliver_audited = self._deliver_audited
         causal = self._causal
         push_traced = self._push_traced
         get_targets = entries.get
@@ -215,13 +224,8 @@ class Executor:
                 deliver = (push_traced
                            if causal is not None and causal.active
                            else push)
-                if (len(targets) > 1 and audit_live
-                        and type(element) is TupleBatch):
-                    # Multi-entry fan-out under audit: deliver per
-                    # tuple so branches interleave as element-wise.
-                    for item in element.tuples:
-                        for node, port in targets:
-                            deliver(node, item, port)
+                if audit is not None and type(element) is TupleBatch:
+                    deliver_audited(targets, element, deliver)
                 else:
                     for node, port in targets:
                         deliver(node, element, port)
@@ -254,25 +258,58 @@ class Executor:
         causal = self._causal
         push = (self._push_traced
                 if causal is not None and causal.active else self._push)
-        for node, port in self.plan.entries.get(stream_id, ()):
+        self._deliver(self.plan.entries.get(stream_id, ()), element, push)
+
+    def _deliver(self, targets, element, push) -> None:
+        """Deliver one top-level element to every ``(node, port)``."""
+        if self._audit is not None and type(element) is TupleBatch:
+            self._deliver_audited(targets, element, push)
+            return
+        for node, port in targets:
             push(node, element, port)
 
-    def _push(self, node: PlanNode, element, port: int) -> None:
+    def _deliver_audited(self, targets, batch: TupleBatch,
+                         deliver) -> None:
+        """Deliver one top-level batch to ``targets`` under audit.
+
+        The batch's records collect in an open block of the audit log
+        and seal in order-key order when it is done.  Ordinals number
+        its tuples; each entry target's index starts the plan path.  A
+        single element needs no block: nothing downstream of it is
+        batched, so its records are made in element-wise order.
+        """
+        ords = range(len(batch.tuples))
+        audit = self._audit
+        audit.open_element()
+        try:
+            for index, (node, port) in enumerate(targets):
+                deliver(node, batch, port, (ords, (index,)))
+        finally:
+            audit.seal_element()
+
+    def _push(self, node: PlanNode, element, port: int,
+              key: tuple | None = None) -> None:
         """Deliver ``element`` (or a TupleBatch) depth-first from ``node``.
 
         Iterative equivalent of the recursive push: the work stack is
         LIFO, so pending work is pushed in reverse to process outputs
         (and fan-out edges) in plan order — the exact delivery order of
         the recursive formulation, without per-element Python frames.
+        ``key`` is the element's ``(ordinals, path)`` order key under
+        audit, ``None`` otherwise.
         """
-        stack: list[tuple[PlanNode, object, int]] = [(node, element, port)]
+        stack: list[tuple[PlanNode, object, int, tuple | None]] = [
+            (node, element, port, key)]
         append = stack.append
         pop = stack.pop
-        audit_live = self._audit_live
+        audit = self._audit
         fused = self._fused
         min_fused_rows = self._min_fused_rows
         while stack:
-            node, element, port = pop()
+            node, element, port, key = pop()
+            if key is not None:
+                ords, path = key
+                audit.key = key
             if type(element) is TupleBatch:
                 chain = (fused.get(node.node_id)
                          if fused and len(element.tuples) >= min_fused_rows
@@ -284,14 +321,11 @@ class Executor:
                     node = chain.tail
                 else:
                     operator = node.operator
-                    if not operator.accepts_batches():
-                        # Audit-order-sensitive operator with a live
-                        # audit log: unbatch here so each tuple's
-                        # downstream effects complete before the next
-                        # tuple's audit events — byte-identical audit
-                        # streams.
-                        for item in reversed(element.tuples):
-                            append((node, item, port))
+                    if key is not None and not operator.audit_batch_safe:
+                        tuples = element.tuples
+                        for index in range(len(tuples) - 1, -1, -1):
+                            append((node, tuples[index], port,
+                                    (ords[index], path)))
                         continue
                     outputs = operator.process_batch(element, port)
             else:
@@ -301,20 +335,16 @@ class Executor:
             downstream = node.downstream
             if not downstream:
                 continue
-            fanout = len(downstream) > 1
-            for out in reversed(outputs):
-                if fanout and audit_live and type(out) is TupleBatch:
-                    # Batch meeting a fan-out under audit: split so
-                    # each tuple visits every branch before the next
-                    # tuple — the element-wise audit interleaving.
-                    for item in reversed(out.tuples):
-                        for child, child_port in reversed(downstream):
-                            append((child, item, child_port))
-                else:
+            if key is None:
+                for out in reversed(outputs):
                     for child, child_port in reversed(downstream):
-                        append((child, out, child_port))
+                        append((child, out, child_port, None))
+            else:
+                stack.extend(_keyed_edges(node, element, ords, path,
+                                          outputs, downstream))
 
-    def _push_traced(self, node: PlanNode, element, port: int) -> None:
+    def _push_traced(self, node: PlanNode, element, port: int,
+                     key: tuple | None = None) -> None:
         """Traced variant of :meth:`_push` for sampled traces.
 
         Identical delivery discipline, but every operator invocation
@@ -327,16 +357,19 @@ class Executor:
         """
         tracer = self._causal
         assert tracer is not None
-        stack: list[tuple[PlanNode, object, int, int]] = [
-            (node, element, port, tracer._root_id)]
+        stack: list[tuple[PlanNode, object, int, int, tuple | None]] = [
+            (node, element, port, tracer._root_id, key)]
         append = stack.append
         pop = stack.pop
-        audit_live = self._audit_live
+        audit = self._audit
         fused = self._fused
         min_fused_rows = self._min_fused_rows
         clock = time.perf_counter_ns
         while stack:
-            node, element, port, parent = pop()
+            node, element, port, parent, key = pop()
+            if key is not None:
+                ords, path = key
+                audit.key = key
             if type(element) is TupleBatch:
                 rows = len(element.tuples)
                 chain = (fused.get(node.node_id)
@@ -351,9 +384,11 @@ class Executor:
                     node = chain.tail
                 else:
                     operator = node.operator
-                    if not operator.accepts_batches():
-                        for item in reversed(element.tuples):
-                            append((node, item, port, parent))
+                    if key is not None and not operator.audit_batch_safe:
+                        tuples = element.tuples
+                        for index in range(rows - 1, -1, -1):
+                            append((node, tuples[index], port, parent,
+                                    (ords[index], path)))
                         continue
                     begun = clock()
                     outputs = operator.process_batch(element, port)
@@ -379,15 +414,14 @@ class Executor:
             downstream = node.downstream
             if not downstream:
                 continue
-            fanout = len(downstream) > 1
-            for out in reversed(outputs):
-                if fanout and audit_live and type(out) is TupleBatch:
-                    for item in reversed(out.tuples):
-                        for child, child_port in reversed(downstream):
-                            append((child, item, child_port, span))
-                else:
+            if key is None:
+                for out in reversed(outputs):
                     for child, child_port in reversed(downstream):
-                        append((child, out, child_port, span))
+                        append((child, out, child_port, span, None))
+            else:
+                for child, out, child_port, child_key in _keyed_edges(
+                        node, element, ords, path, outputs, downstream):
+                    append((child, out, child_port, span, child_key))
 
     def _flush(self) -> None:
         """End-of-stream: flush operators in topological order."""
@@ -395,5 +429,123 @@ class Executor:
             self.tracer.span("executor.flush")
         for node in self.plan.topological():
             for out in node.operator.flush():
-                for child, child_port in node.downstream:
-                    self._push(child, out, child_port)
+                self._deliver(node.downstream, out, self._push)
+
+
+def _keyed_edges(node: PlanNode, element, ords, path: tuple,
+                 outputs: list, downstream: list) -> list:
+    """Every ``(child, output, port, key)`` delivery of one audited
+    operator call, in work-stack (reverse plan) order.
+
+    Each output carries its ordinal(s) and extends the plan path by
+    ``(output index, child index)``, so records sort in the order
+    element-wise execution makes them.
+    """
+    if type(ords) is int:
+        out_ords = None
+    elif outputs[-1] is element:
+        # The run passed whole; anything before it is a released sp.
+        out_ords = [ords[0]] * (len(outputs) - 1) + [ords]
+    else:
+        out_ords = _output_ordinals(node, element, ords, outputs)
+    edges = []
+    append = edges.append
+    for index in range(len(outputs) - 1, -1, -1):
+        out = outputs[index]
+        out_key = ords if out_ords is None else out_ords[index]
+        for child_index in range(len(downstream) - 1, -1, -1):
+            child, child_port = downstream[child_index]
+            append((child, out, child_port,
+                    (out_key, path + (index, child_index))))
+    return edges
+
+
+def _output_ordinals(node: PlanNode, batch: TupleBatch, ords,
+                     outputs: list) -> list:
+    """The ordinal(s) each output of a batch call carries downstream.
+
+    The operator is :attr:`~repro.operators.base.Operator.audit_batch_safe`,
+    so its output tuples are its input's: the run itself, a 1:1
+    projection of it (Project makes new tuple objects, so a same-length
+    output maps by position), or an in-order subset.  An sp takes the
+    ordinal of the tuple emitted after it — the tuple whose arrival
+    released it element-wise.
+    """
+    tuples = batch.tuples
+    result: list = []
+    pending = 0
+    pos = 0
+    try:
+        for out in outputs:
+            if type(out) is TupleBatch:
+                got = (ords if len(out.tuples) == len(tuples)
+                       else _KeptOrdinals(ords, tuples, out.tuples))
+                first = got[0]
+            elif isinstance(out, SecurityPunctuation):
+                result.append(None)
+                pending += 1
+                continue
+            else:
+                while tuples[pos] is not out:
+                    pos += 1
+                got = first = ords[pos]
+                pos += 1
+            if pending:
+                result[-pending:] = [first] * pending
+                pending = 0
+            result.append(got)
+    except IndexError:
+        raise PlanError(
+            f"{node.operator.name}: batch output is not the input's "
+            "tuples; set audit_batch_safe = False") from None
+    if pending:
+        result[-pending:] = [ords[-1]] * pending
+    return result
+
+
+class _KeptOrdinals:
+    """Ordinals of an in-order subset of a batch, resolved on demand.
+
+    Most consumers need only the first ordinal (a segment record, a
+    released sp); the rest are needed when a record's events are read,
+    so the match against the input runs only then — and never for
+    blocks the audit log evicts unread.
+    """
+
+    __slots__ = ("_source", "_tuples", "_kept", "_ords")
+
+    def __init__(self, source, tuples: list, kept: list):
+        self._source = source
+        self._tuples = tuples
+        self._kept = kept
+        self._ords: list | None = None
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __iter__(self):
+        return iter(self._resolve())
+
+    def __getitem__(self, row: int):
+        if row == 0 and self._ords is None:
+            first = self._kept[0]
+            pos = 0
+            while self._tuples[pos] is not first:
+                pos += 1
+            return self._source[pos]
+        return self._resolve()[row]
+
+    def _resolve(self) -> list:
+        ords = self._ords
+        if ords is None:
+            tuples, source = self._tuples, self._source
+            ords = []
+            pos = 0
+            for item in self._kept:
+                while tuples[pos] is not item:
+                    pos += 1
+                ords.append(source[pos])
+                pos += 1
+            self._ords = ords
+            self._source = self._tuples = None
+        return ords

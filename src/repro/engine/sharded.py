@@ -33,7 +33,10 @@ returning partial (potentially under-enforced) results.
 Per-shard audit events and trace spans are shipped back over the
 result pipe and re-recorded through the coordinator's Observability
 hub with a ``shard`` label, so the audit trail and flight recorder
-stay single-system views.
+stay single-system views.  Each worker also ships its audit log's
+exact per-kind counts and eviction count, so ``counts`` and
+``evicted`` stay exact when a worker held fewer events than it
+recorded.
 """
 
 from __future__ import annotations
@@ -207,7 +210,10 @@ class ShardTask:
     batching: bool = True
     columnar: bool = True
     min_fused_rows: int = _fusion.MIN_FUSED_ROWS
-    audit: bool = False
+    #: Capacity of the worker's audit log — the coordinator's, so a
+    #: worker never ships more events than the coordinator can hold
+    #: (``0``: no audit log).
+    audit_capacity: int = 0
     tracing: bool = False
     #: Fault injection for the verification harness: ``"crash"`` kills
     #: the worker before it reports, ``"hang"`` blocks it forever.
@@ -238,7 +244,11 @@ class ShardResult:
     #: + output chunking) — the per-shard cost on the critical path.
     cpu_seconds: float = 0.0
     stages: "list[StageStats]" = field(default_factory=list)
+    #: The worker's held audit events, plus its log's exact per-kind
+    #: totals and eviction count (held events are only the newest).
     audit_events: "list[AuditEvent]" = field(default_factory=list)
+    audit_counts: "dict[str, int]" = field(default_factory=dict)
+    audit_evicted: int = 0
     spans: "list[SpanEvent]" = field(default_factory=list)
 
 
@@ -265,8 +275,8 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
     analyzer = SPAnalyzer(universe)
     for sp in task.server_sps:
         analyzer.add_server_policy(sp)
-    observability = (Observability(audit=AuditLog())
-                     if task.audit else Observability.disabled())
+    observability = (Observability(audit=AuditLog(task.audit_capacity))
+                     if task.audit_capacity else Observability.disabled())
     trace_sink = (RingBufferTraceSink(_WORKER_TRACE_CAPACITY)
                   if task.tracing else NullTraceSink())
 
@@ -340,6 +350,8 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
     )
     if observability.audit is not None:
         result.audit_events = list(observability.audit)
+        result.audit_counts = dict(observability.audit.counts)
+        result.audit_evicted = observability.audit.evicted
     if task.tracing and isinstance(trace_sink, RingBufferTraceSink):
         result.spans = trace_sink.events()
     result.cpu_seconds = time.process_time() - cpu_start
@@ -548,7 +560,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
 
         units = [(unit_sid, expr)
                  for unit_sid, expr, _ in registry.ordered]
-        audit_on = dsms.observability.audit is not None
+        audit_log = dsms.observability.audit
         tracing_on = dsms.observability.tracer.enabled
         workers = []
         for shard_idx in range(n_shards):
@@ -560,7 +572,9 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                 server_sps=dsms.analyzer.server_sps,
                 batching=batching, columnar=columnar,
                 min_fused_rows=_fusion.MIN_FUSED_ROWS,
-                audit=audit_on, tracing=tracing_on,
+                audit_capacity=(audit_log.capacity
+                                if audit_log is not None else 0),
+                tracing=tracing_on,
                 fault=(faults or {}).get(shard_idx),
                 spans=(per_shard_spans[shard_idx]
                        if fork_scatter else None),
@@ -596,16 +610,10 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
 
     # Route shard audit events and spans through the coordinator's
     # Observability with shard labels (single-system audit view).
-    if audit_on:
-        log = dsms.observability.audit
+    if audit_log is not None:
         for result in results:
-            for event in result.audit_events:
-                log.record(event.kind, ts=event.ts,
-                           operator=event.operator, query=event.query,
-                           sid=event.sid, tid=event.tid,
-                           predicate=event.predicate,
-                           policy=event.policy, sp=event.sp,
-                           shard=result.shard_idx, **event.detail)
+            audit_log.absorb(result.audit_events, result.audit_counts,
+                             result.audit_evicted, shard=result.shard_idx)
     if tracing_on:
         tracer = dsms.observability.tracer
         for result in results:

@@ -33,9 +33,30 @@ Event kinds currently recorded:
 ``groupby.merge``
     Group-by merged attribute subgroups bridged by a tuple's policy.
 
-The log is bounded: once ``capacity`` events are held, recording a new
-one evicts the oldest (``evicted`` counts how many were lost).  Counts
-per kind are kept unbounded, so rates stay exact even after eviction.
+The log is bounded: it holds the newest ``capacity`` events, and
+``evicted`` counts how many older ones were lost.  ``seq`` numbers and
+the per-kind ``counts`` cover every recorded event, so rates stay
+exact even after eviction.
+
+**Ordering.**  The executor delivers segment runs
+(:class:`~repro.stream.batch.TupleBatch`) whole, so operators decide a
+run of tuples in one call, yet the trail must read as if every tuple
+had travelled the plan alone.  While the executor drives one top-level
+batch it keeps the batch's records in an open *block*; every record
+carries an order key — the tuple's ordinal within the batch, the plan
+path from the entry (output index and fan-out child index per hop),
+and the record's order within its operator call.  When the batch is
+done the block is *sealed*: its events take the next ``seq`` numbers
+in key order, which is the element-wise order.  Records made outside
+a block (a single tuple or sp, the SP Analyzer, a rebind) are already
+in element-wise order and seal at once.
+
+**Lazy records.**  A shield that denies a whole uniform segment records
+*one* run record (``record(..., run=tuples)``).  Blocks stay unexpanded
+until the log is read (iteration, :meth:`events`, :meth:`explain`,
+export); only then do run records expand into per-tuple
+:class:`AuditEvent` objects.  Blocks that capacity evicts before any
+read are never expanded, so held events never exceed ``capacity``.
 """
 
 from __future__ import annotations
@@ -43,7 +64,11 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
-from typing import IO, Iterator
+from itertools import repeat
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from repro.stream.tuples import DataTuple
 
 __all__ = ["AuditEvent", "AuditLog"]
 
@@ -96,19 +121,119 @@ class AuditEvent:
         return core
 
 
+#: AuditEvent fields a record stores, in order (all but ``seq``).
+_RECORD_FIELDS = ("kind", "ts", "operator", "query", "sid", "tid",
+                  "predicate", "policy", "sp", "detail")
+
+
+class _Block:
+    """The sealed records of one top-level batch: a ``seq`` range
+    whose events expand from ``records`` on first read.
+
+    ``n`` counts the events still held; ``skip`` is how many leading
+    events of the expanded sequence capacity has already evicted.
+    """
+
+    __slots__ = ("seq", "n", "skip", "records", "events")
+
+    def __init__(self, seq: int, n: int, records: list | None,
+                 events: "list[AuditEvent] | None" = None):
+        self.seq = seq
+        self.n = n
+        self.skip = 0
+        self.records = records
+        self.events = events
+
+    def evict(self, count: int) -> None:
+        """Forget the oldest ``count`` (< ``n``) held events."""
+        if self.events is not None:
+            del self.events[:count]
+        else:
+            self.skip += count
+        self.seq += count
+        self.n -= count
+
+    def expand(self) -> "list[AuditEvent]":
+        """The held events, in key order (expanded once, then kept)."""
+        if self.events is None:
+            self.events = _expand(self.seq - self.skip, self.records,
+                                  self.skip)
+            self.records = None
+            self.skip = 0
+        return self.events
+
+
+def _expand(seq: int, records: list, skip: int) -> "list[AuditEvent]":
+    """Order a block's records by key, drop the first ``skip`` (already
+    evicted) events and build the rest, numbered from ``seq``."""
+    if len(records) == 1:
+        run = records[0][3]
+        order = [(0, j) for j in range(skip, 1 if run is None else len(run))]
+    else:
+        keyed = []
+        for k, (ords, path, _, run) in enumerate(records):
+            if run is None:
+                keyed.append((ords, path, k, 0))
+            elif type(ords) is int:
+                keyed.extend((ords, path, k, j) for j in range(len(run)))
+            else:
+                keyed.extend(zip(ords, repeat(path), repeat(k),
+                                 range(len(run))))
+        keyed.sort()
+        order = [(k, j) for _, _, k, j in keyed[skip:]]
+    # Events are built by filling a fresh instance's __dict__: the
+    # frozen dataclass __init__ (one object.__setattr__ per field)
+    # costs ~7x as much, and a read builds up to ``capacity`` events.
+    new = object.__new__
+    prepared = [(dict(zip(_RECORD_FIELDS, fields)), run)
+                for _, _, fields, run in records]
+    events = []
+    append = events.append
+    for seq, (k, j) in enumerate(order, seq + skip):
+        values, run = prepared[k]
+        event = new(AuditEvent)
+        state = event.__dict__
+        state["seq"] = seq
+        state.update(values)
+        if run is not None:
+            item = run[j]
+            state["ts"] = item.ts
+            state["sid"] = item.sid
+            state["tid"] = item.tid
+            state["detail"] = values["detail"].copy()
+        append(event)
+    return events
+
+
 class AuditLog:
-    """Bounded, queryable history of :class:`AuditEvent` records."""
+    """Bounded, queryable history of :class:`AuditEvent` records.
+
+    Events materialize on read: recording stores compact records (one
+    per denied segment run), and :class:`AuditEvent` objects are built
+    only for the held events, the first time the log is iterated,
+    filtered, explained or exported.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("audit log capacity must be positive")
         self.capacity = capacity
-        self._events: deque[AuditEvent] = deque(maxlen=capacity)
+        self._blocks: deque[_Block] = deque()
+        #: Events held across all blocks (at most ``capacity``).
+        self._held = 0
         self._seq = 0
         #: Events recorded but no longer held (bounded-log eviction).
         self.evicted = 0
         #: Exact per-kind totals, unaffected by eviction.
         self.counts: Counter[str] = Counter()
+        #: Records of the top-level batch the executor is driving
+        #: (``None`` otherwise: records then seal at once).
+        self._open: list | None = None
+        #: Order key of the operator call in progress, set by the
+        #: executor: ``(ordinals, path)`` — the ordinal of the tuple
+        #: (an ``int``) or the ordinals of the batch's tuples (a
+        #: sequence), and the plan path from the entry.
+        self.key: "tuple[int | Sequence[int], tuple]" = (0, ())
 
     # -- recording ---------------------------------------------------------
     def record(self, kind: str, *, ts: float, operator: str,
@@ -117,25 +242,118 @@ class AuditLog:
                predicate: tuple[str, ...] = (),
                policy: tuple[str, ...] = (),
                sp: str | None = None,
-               **detail) -> AuditEvent:
-        """Append one event; returns it (mainly for tests)."""
-        event = AuditEvent(seq=self._seq, kind=kind, ts=ts,
-                           operator=operator, query=query, sid=sid,
-                           tid=tid, predicate=predicate, policy=policy,
-                           sp=sp, detail=detail)
-        self._seq += 1
-        if len(self._events) == self.capacity:
-            self.evicted += 1
-        self._events.append(event)
+               row: int = 0, run: "Sequence[DataTuple] | None" = None,
+               **detail) -> AuditEvent | None:
+        """Record one decision — or, with ``run``, one per tuple.
+
+        ``run`` is the whole batch a batch path is processing, decided
+        by one verdict (a shield denying a uniform segment): each of
+        its events takes ``ts``, ``sid`` and ``tid`` from its tuple and
+        shares the other fields, and the run is stored as one record.  ``row`` is
+        the position of the decided tuple in the batch a batch path is
+        processing.
+
+        Outside an executor-driven batch the record seals at once, and
+        a single event is returned.  Inside one, the events are
+        numbered when the batch seals; ``record`` then returns
+        ``None``, as it does for every ``run`` record.
+        """
+        fields = (kind, ts, operator, query, sid, tid, predicate, policy,
+                  sp, detail)
+        block = self._open
+        if block is not None:
+            ords, path = self.key
+            if run is None and type(ords) is not int:
+                ords = ords[row]
+            block.append((ords, path, fields, run))
+            return None
+        if run is not None:
+            self._seal([(0, (), fields, run)])
+            return None
+        event = AuditEvent(self._seq, kind, ts, operator, query, sid, tid,
+                           predicate, policy, sp, detail)
         self.counts[kind] += 1
+        last = self._blocks[-1] if self._blocks else None
+        if last is not None and last.events is not None:
+            last.events.append(event)
+            last.n += 1
+        else:
+            self._blocks.append(_Block(self._seq, 1, None, [event]))
+        self._advance(1)
         return event
+
+    def absorb(self, events: "Iterable[AuditEvent]",
+               counts: "dict[str, int]", evicted: int,
+               **labels) -> None:
+        """Fold another log's trail (a shard worker's) into this one.
+
+        ``events`` are the other log's held events, ``counts`` and
+        ``evicted`` its exact totals; ``labels`` join every event's
+        ``detail``.  The other log's evicted events were recorded
+        before its held ones, so they are counted (and ``seq``
+        advanced) first.
+        """
+        events = list(events)
+        self._seq += evicted
+        self.evicted += evicted
+        self.counts.update(Counter(counts) - Counter(e.kind for e in events))
+        for event in events:
+            self.record(event.kind, ts=event.ts, operator=event.operator,
+                        query=event.query, sid=event.sid, tid=event.tid,
+                        predicate=event.predicate, policy=event.policy,
+                        sp=event.sp, **labels, **event.detail)
+
+    # -- executor hooks -----------------------------------------------------
+    def open_element(self) -> None:
+        """Start collecting the records of one top-level batch."""
+        self._open = []
+
+    def seal_element(self) -> None:
+        """Seal the open batch's records in order-key order."""
+        records = self._open
+        self._open = None
+        if records:
+            self._seal(records)
+
+    def _seal(self, records: list) -> None:
+        counts = self.counts
+        n = 0
+        for _, _, fields, run in records:
+            size = 1 if run is None else len(run)
+            counts[fields[0]] += size
+            n += size
+        self._blocks.append(_Block(self._seq, n, records))
+        self._advance(n)
+
+    def _advance(self, n: int) -> None:
+        """Account ``n`` newly sealed events; evict beyond capacity."""
+        self._seq += n
+        self._held += n
+        excess = self._held - self.capacity
+        if excess <= 0:
+            return
+        self.evicted += excess
+        self._held -= excess
+        blocks = self._blocks
+        while excess:
+            front = blocks[0]
+            if front.n <= excess:
+                blocks.popleft()
+                excess -= front.n
+            else:
+                front.evict(excess)
+                excess = 0
+
+    def _held_events(self) -> "list[AuditEvent]":
+        return [event for block in self._blocks
+                for event in block.expand()]
 
     # -- querying ----------------------------------------------------------
     def events(self, *, query: str | None = None,
                kind: str | None = None) -> list[AuditEvent]:
         """Held events, optionally filtered by query and/or kind."""
         out = []
-        for event in self._events:
+        for event in self._held_events():
             if query is not None and event.query != query:
                 continue
             if kind is not None and event.kind != kind:
@@ -153,7 +371,7 @@ class AuditLog:
         reused across streams.
         """
         out = []
-        for event in self._events:
+        for event in self._held_events():
             if event.tid != tuple_id:
                 continue
             if sid is not None and event.sid != sid:
@@ -163,7 +381,7 @@ class AuditLog:
 
     def last(self, kind: str | None = None) -> AuditEvent | None:
         """Most recent held event (of ``kind``, if given)."""
-        for event in reversed(self._events):
+        for event in reversed(self._held_events()):
             if kind is None or event.kind == kind:
                 return event
         return None
@@ -172,7 +390,7 @@ class AuditLog:
     def to_jsonl(self, fp: IO[str]) -> int:
         """Write held events as JSON lines; returns the line count."""
         count = 0
-        for event in self._events:
+        for event in self._held_events():
             fp.write(json.dumps(event.to_dict(), default=str,
                                 separators=(",", ":")))
             fp.write("\n")
@@ -185,16 +403,17 @@ class AuditLog:
 
     # -- bookkeeping ---------------------------------------------------------
     def clear(self) -> None:
-        self._events.clear()
+        self._blocks.clear()
+        self._held = 0
         self.counts.clear()
         self.evicted = 0
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._held
 
     def __iter__(self) -> Iterator[AuditEvent]:
-        return iter(self._events)
+        return iter(self._held_events())
 
     def __repr__(self) -> str:
-        return (f"AuditLog(held={len(self._events)}, "
+        return (f"AuditLog(held={self._held}, "
                 f"recorded={self._seq}, evicted={self.evicted})")

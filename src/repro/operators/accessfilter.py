@@ -34,11 +34,6 @@ __all__ = ["AccessFilter"]
 class AccessFilter(UnaryOperator):
     """Fixed access-control filter for pre-/post-filtering layouts."""
 
-    #: Like the shield, per-tuple ``filter.drop`` events interleave
-    #: with passed tuples; with an audit log attached the executor
-    #: unbatches so every denial is individually recorded.
-    audit_batch_safe = False
-
     def __init__(self, roles: Iterable[str] | AbstractRoleSet, *,
                  stream_id: str = "*", strip_sps: bool = True,
                  name: str | None = None):
@@ -96,7 +91,7 @@ class AccessFilter(UnaryOperator):
         else:
             traced = tracer is not None and tracer.active
             passing = []
-            for item in tuples:
+            for row, item in enumerate(tuples):
                 policy = tracker.policy_for(item)
                 if policy.permits_any(predicate):
                     if traced:
@@ -106,7 +101,7 @@ class AccessFilter(UnaryOperator):
                     if tracer is not None:
                         self._prov_item(item, policy, False)
                     if self.audit is not None:
-                        self._audit_drop(item, policy)
+                        self._audit_drop(item, policy, row)
         self.tuples_blocked += len(tuples) - len(passing)
         if not passing:
             return []
@@ -138,11 +133,12 @@ class AccessFilter(UnaryOperator):
             denial_by_default=not sps,
         )
 
-    def _audit_drop(self, item: DataTuple, policy) -> None:
-        """Exactly one ``filter.drop`` event per denied tuple."""
+    def _audit_drop(self, item: DataTuple, policy, row: int = 0) -> None:
+        """Exactly one ``filter.drop`` event per denied tuple (``row``:
+        its position in the batch being processed)."""
         self.audit.record(
             "filter.drop", ts=item.ts, operator=self.name,
             query=self.audit_query, sid=item.sid, tid=item.tid,
             predicate=tuple(sorted(self.predicate.names())),
-            policy=tuple(sorted(policy.roles.names())),
+            policy=tuple(sorted(policy.roles.names())), row=row,
         )

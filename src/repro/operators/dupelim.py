@@ -54,10 +54,6 @@ class _OutputEntry:
 class DuplicateElimination(UnaryOperator):
     """δ over a time-based sliding window, sp-aware per Section IV.B."""
 
-    #: ``dupelim.suppress`` events interleave with emitted values, so
-    #: with an audit log attached the executor delivers element-wise.
-    audit_batch_safe = False
-
     def __init__(self, window: float, attributes: Iterable[str] | None = None,
                  *, stream_id: str = "*", name: str | None = None):
         super().__init__(name)
@@ -107,11 +103,12 @@ class DuplicateElimination(UnaryOperator):
         out: list[StreamElement] = []
         extend = out.extend
         process_tuple = self._process_tuple
-        for item in batch.tuples:
-            extend(process_tuple(item))
+        for row, item in enumerate(batch.tuples):
+            extend(process_tuple(item, row))
         return out
 
-    def _process_tuple(self, element: DataTuple) -> list[StreamElement]:
+    def _process_tuple(self, element: DataTuple,
+                       row: int = 0) -> list[StreamElement]:
         self._expire(element.ts)
         policy = self.tracker.policy_for(element)
         if policy.is_empty():
@@ -145,7 +142,7 @@ class DuplicateElimination(UnaryOperator):
                     query=self.audit_query, sid=element.sid,
                     tid=element.tid,
                     policy=tuple(sorted(new.roles.names())),
-                    seen_by=sorted(old.roles.names()),
+                    seen_by=sorted(old.roles.names()), row=row,
                 )
         else:  # case 3
             fresh = new.difference(common)

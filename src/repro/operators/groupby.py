@@ -77,8 +77,8 @@ class _Subgroup:
 class GroupBy(UnaryOperator):
     """Windowed sp-aware group-by/aggregate."""
 
-    #: ``groupby.merge`` events interleave with emitted results, so
-    #: with an audit log attached the executor delivers element-wise.
+    #: The batch path emits new (aggregate) tuples, so with an audit
+    #: log attached the executor delivers input per tuple.
     audit_batch_safe = False
 
     def __init__(self, key: str | None, agg: str, attribute: str, *,

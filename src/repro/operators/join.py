@@ -65,9 +65,8 @@ def segment_index_roles(segment: Segment) -> frozenset[str]:
 class SAJoinBase(BinaryOperator):
     """Shared machinery of the nested-loop and index SAJoins."""
 
-    #: ``join.deny`` / ``join.policy_reject`` / ``join.skip`` events
-    #: interleave with emitted results, so with an audit log attached
-    #: the executor delivers element-wise.
+    #: The batch path emits new (joined) tuples, so with an audit log
+    #: attached the executor delivers input per tuple.
     audit_batch_safe = False
 
     def __init__(self, left_on: str, right_on: str, window: float, *,

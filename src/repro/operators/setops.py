@@ -73,6 +73,10 @@ class Union(BinaryOperator):
 class Intersect(BinaryOperator):
     """Windowed value intersection under policy intersection."""
 
+    #: Emits new (projected) tuples, so with an audit log attached the
+    #: executor delivers input per tuple.
+    audit_batch_safe = False
+
     def __init__(self, attributes: Iterable[str], window: float, *,
                  left_sid: str = "left", right_sid: str = "right",
                  name: str | None = None):

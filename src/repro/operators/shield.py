@@ -50,12 +50,6 @@ _REC_DROP = "provenance.shield.drop"
 class SecurityShield(UnaryOperator):
     """Access-control filter driven by streaming security punctuations."""
 
-    #: Per-tuple ``shield.drop`` events interleave with passed tuples
-    #: in non-uniform segments; with an audit log attached the
-    #: executor therefore unbatches (the per-element path already
-    #: amortizes the segment decision, so nothing is lost).
-    audit_batch_safe = False
-
     def __init__(self, roles: Iterable[str] | AbstractRoleSet,
                  stream_id: str = "*", *, indexed: bool = True,
                  conjuncts: Iterable[AbstractRoleSet] | None = None,
@@ -352,7 +346,7 @@ class SecurityShield(UnaryOperator):
             tracer = self._tracer
             traced = tracer is not None and tracer.active
             blocked = 0
-            for item in tuples:
+            for row, item in enumerate(tuples):
                 if permits(policy_for(item)):
                     if m_pass is not None:
                         m_pass.inc()
@@ -371,7 +365,7 @@ class SecurityShield(UnaryOperator):
                     if tracer is not None:
                         self._prov_tuple(item, False)
                     if audit is not None:
-                        self._audit_drop(item)
+                        self._audit_drop(item, row)
             self.tuples_blocked += blocked
             return out
         tracer = self._tracer
@@ -384,8 +378,9 @@ class SecurityShield(UnaryOperator):
             if tracer is not None:
                 self._prov_run(tuples, False)
             if self.audit is not None:
-                for item in tuples:
-                    self._audit_drop(item)
+                # One run record for the whole denied run; its
+                # per-tuple events expand when the log is read.
+                self._audit_drop(tuples[0], run=tuples)
             return []
         if self._m_pass is not None:
             self._m_pass.inc(len(tuples))
@@ -554,15 +549,18 @@ class SecurityShield(UnaryOperator):
             sp=self._sp_description(), verdict=verdict,
         )
 
-    def _audit_drop(self, item: DataTuple) -> None:
-        """Exactly one ``shield.drop`` event per denied tuple."""
+    def _audit_drop(self, item: DataTuple, row: int = 0,
+                    run: list | None = None) -> None:
+        """Exactly one ``shield.drop`` event per denied tuple: ``item``
+        at batch position ``row``, or every tuple of a uniformly
+        denied ``run`` (whose policy is ``item``'s)."""
         policy = self.tracker.policy_for(item)
         self.audit.record(
             "shield.drop", ts=item.ts, operator=self.name,
             query=self.audit_query, sid=item.sid, tid=item.tid,
             predicate=tuple(self._predicate_list),
             policy=tuple(sorted(policy.roles.names())),
-            sp=self._sp_description(),
+            sp=self._sp_description(), row=row, run=run,
         )
 
     def flush(self) -> list[StreamElement]:

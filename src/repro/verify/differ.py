@@ -3,8 +3,8 @@
 For one scenario this module runs the full cross product of engine
 configurations — element-wise vs segment-batched vs fused-columnar
 execution, NL vs SPIndex join, optimizer off / per-query / workload —
-plus an audited run and (where expressible) the two Section I.C
-baselines, and diffs each against
+plus audited runs (element-wise and segment-batched) and (where
+expressible) the two Section I.C baselines, and diffs each against
 :func:`repro.verify.oracle.run_oracle`:
 
 * the multiset of delivered tuples per query, each tagged with its
@@ -166,14 +166,19 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
                     label=f"{mode}/{variant}/{level}",
                     batching=batching, join_variant=variant, level=level,
                     columnar=columnar))
-    configs.append(EngineConfig(label="audited/nl/none", batching=False,
-                                join_variant="nl", level="none", audit=True))
+    # Audited runs, element-wise and segment-batched (the default
+    # DSMS.run path, whose audit order comes from per-record order keys).
+    for batching, mode in ((False, ""), (True, "-batched")):
+        configs.append(EngineConfig(
+            label=f"audited{mode}/nl/none", batching=batching,
+            join_variant="nl", level="none", audit=True))
     configs.append(EngineConfig(label="traced/nl/none", batching=True,
                                 join_variant="nl", level="none", traced=True))
     # Sharded axis: the partitioned multi-process executor at 1, 2 and
-    # 4 workers, plus one columnar, one audited and (with a join in the
-    # workload) one index-join sharded run — every merge path crossed
-    # with every execution tier it composes with.
+    # 4 workers, plus one columnar, two audited (element-wise and
+    # batched) and (with a join in the workload) one index-join sharded
+    # run — every merge path crossed with every execution tier it
+    # composes with.
     for n_shards in (1, 2, 4):
         configs.append(EngineConfig(
             label=f"sharded{n_shards}/nl/none", batching=True,
@@ -185,9 +190,10 @@ def configs_for(scenario: Scenario) -> list[EngineConfig]:
     configs.append(EngineConfig(
         label="sharded2-columnar/nl/none", batching=True,
         join_variant="nl", level="none", columnar=True, n_shards=2))
-    configs.append(EngineConfig(
-        label="sharded2-audited/nl/none", batching=False,
-        join_variant="nl", level="none", audit=True, n_shards=2))
+    for batching, mode in ((False, ""), (True, "-batched")):
+        configs.append(EngineConfig(
+            label=f"sharded2-audited{mode}/nl/none", batching=batching,
+            join_variant="nl", level="none", audit=True, n_shards=2))
     return configs
 
 

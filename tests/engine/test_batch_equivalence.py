@@ -6,7 +6,8 @@ workload with ``batching=True`` and ``batching=False`` must produce
 
 * identical ordered result elements per query,
 * identical drop counts (whole-plan and per stage),
-* identical audit event sequences (with observability on),
+* identical audit event sequences, per-kind counts and eviction
+  counts (with observability on),
 * identical security metric counters (shield verdicts,
   denial-by-default drops, segment/sp-batch size distributions) —
   latency histograms may legitimately differ in observation counts
@@ -26,7 +27,7 @@ from repro.algebra.expressions import ScanExpr
 from repro.core.patterns import one_of
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
-from repro.observability import Observability
+from repro.observability import AuditLog, Observability, Tracer
 from repro.operators.conditions import Comparison
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
@@ -35,13 +36,18 @@ from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
 SCHEMA = StreamSchema("s1", ("v",))
 
 
-def run_both(make_dsms, *, observability: bool = True):
-    """Run a freshly built DSMS in both modes; return both outcomes."""
+def run_both(make_dsms, *, observability: bool = True, hub=None):
+    """Run a freshly built DSMS in both modes; return both outcomes.
+
+    ``hub`` builds the Observability to run under (default: everything
+    on, or everything off with ``observability=False``).
+    """
+    if hub is None:
+        hub = (Observability.in_memory if observability
+               else Observability.disabled)
     outcomes = {}
     for batching in (False, True):
-        dsms = make_dsms(
-            Observability.in_memory() if observability
-            else Observability.disabled())
+        dsms = make_dsms(hub())
         results = dsms.run(batching=batching)
         outcomes[batching] = (results, dsms)
     return outcomes[False], outcomes[True]
@@ -72,6 +78,8 @@ def assert_equivalent(plain, batched):
         plain_events = [asdict(e) for e in plain_dsms.audit]
         batched_events = [asdict(e) for e in batched_dsms.audit]
         assert plain_events == batched_events
+        assert plain_dsms.audit.counts == batched_dsms.audit.counts
+        assert plain_dsms.audit.evicted == batched_dsms.audit.evicted
     if plain_dsms.observability.metrics is not None:
         assert_security_metrics_equivalent(plain_dsms, batched_dsms)
 
@@ -315,3 +323,116 @@ def test_multi_query_shared_plan():
 
     assert_equivalent(*run_both(make))
     assert_equivalent(*run_both(make, observability=False))
+
+
+# -- audit order under batching ---------------------------------------------
+
+def non_uniform_held_stream():
+    """Tuple-scoped sps for two roles; each segment's first tuple is
+    denied to both, so every shield holds its sps past a drop."""
+    elements = []
+    ts = 0.0
+    tid = 0
+    for _ in range(8):
+        ts += 1.0
+        elements.append(SecurityPunctuation.grant(
+            ["D"], ts, tuple_id=one_of([tid + 1, tid + 3])))
+        elements.append(SecurityPunctuation.grant(
+            ["N"], ts, tuple_id=one_of([tid + 2, tid + 3])))
+        for _ in range(4):
+            ts += 1.0
+            elements.append(DataTuple("s1", tid, {"v": float(tid)}, ts))
+            tid += 1
+    return elements
+
+
+def _shared_select_fanout(observability):
+    """One select shared by three query shields (a plan fan-out)."""
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(SYNTH_SCHEMA, uniform_stream(5, 10, n_tuples=150))
+    base = ScanExpr("synthetic").select(Comparison("x", ">", 200.0))
+    for index in range(3):
+        dsms.register_query(f"q{index}", base,
+                            roles={f"r{index + 1}", "q_role"})
+    return dsms
+
+
+def _project_fanout(observability):
+    """A shared project (new tuple objects) below three query shields."""
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(SYNTH_SCHEMA, uniform_stream(2, 10, n_tuples=120))
+    base = ScanExpr("synthetic").project(["object_id", "x"])
+    for index in range(3):
+        dsms.register_query(f"q{index}", base,
+                            roles={f"r{index + 1}", "q_role"})
+    return dsms
+
+
+def _multi_entry_fanout(observability):
+    """Three distinct entry operators on one stream."""
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(SYNTH_SCHEMA, uniform_stream(4, 10, n_tuples=120))
+    scan = ScanExpr("synthetic")
+    dsms.register_query("low", scan.select(Comparison("x", ">", 200.0)),
+                        roles={"r1", "q_role"})
+    dsms.register_query("high", scan.select(Comparison("x", ">", 600.0)),
+                        roles={"r2"})
+    dsms.register_query("all", scan, roles={"r3"})
+    return dsms
+
+
+def _non_uniform_held(observability):
+    """Per-tuple drops at two shields, interleaved with held-sp release."""
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(SCHEMA, non_uniform_held_stream())
+    dsms.register_query("d", ScanExpr("s1"), roles={"D"})
+    dsms.register_query("n", ScanExpr("s1"), roles={"N"})
+    return dsms
+
+
+def _join_fanout(observability):
+    """A shared join below two shields, probed by batched runs that
+    match several partners each."""
+    left_schema = StreamSchema("left", ("k", "a"))
+    right_schema = StreamSchema("right", ("k", "b"))
+    right = [SecurityPunctuation.grant(["C", "N"], 0.5, provider="r")]
+    right += [DataTuple("right", tid, {"k": tid % 2, "b": tid}, 1.0 + tid)
+              for tid in range(4)]
+    left = []
+    ts = 10.0
+    for segment in range(6):
+        ts += 1.0
+        # Odd segments join under {C}: both query shields deny every
+        # result of a probe, so their drops must interleave per result.
+        left.append(SecurityPunctuation.grant(
+            ["C"] if segment % 2 else ["D", "N"], ts, provider="l"))
+        for k in range(4):
+            ts += 1.0
+            tid = segment * 4 + k
+            left.append(DataTuple("left", tid, {"k": k % 2, "a": tid}, ts))
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(left_schema, left)
+    dsms.register_stream(right_schema, right)
+    expr = ScanExpr("left").join(ScanExpr("right"), "k", "k", 100.0)
+    dsms.register_query("d", expr, roles={"D"})
+    dsms.register_query("n", expr, roles={"N"})
+    return dsms
+
+
+@pytest.mark.parametrize("make, hub", [
+    # Eviction lands mid-run and inside one element's sealed block.
+    (_shared_select_fanout, lambda: Observability(audit=AuditLog(7))),
+    (_project_fanout, lambda: Observability(audit=AuditLog())),
+    (_multi_entry_fanout, lambda: Observability(audit=AuditLog())),
+    (_non_uniform_held, lambda: Observability(audit=AuditLog())),
+    (_join_fanout, lambda: Observability(audit=AuditLog())),
+    # Half the traces sampled: elements alternate between the traced
+    # and the plain push loop.
+    (_shared_select_fanout, lambda: Observability(
+        audit=AuditLog(), tracer=Tracer(sample=0.5))),
+], ids=["capacity7", "project-fanout", "multi-entry", "non-uniform-held",
+        "join-fanout", "traced"])
+def test_audit_order_cases(make, hub):
+    plain, batched = run_both(make, hub=hub)
+    assert_equivalent(plain, batched)
+    assert len(plain[1].audit) > 0

@@ -18,7 +18,7 @@ from repro.engine.api import OptimizeLevel
 from repro.engine.dsms import DSMS
 from repro.engine.sharded import split_workload
 from repro.errors import QueryError, ShardExecutionError
-from repro.observability import Observability
+from repro.observability import AuditLog, Observability
 from repro.operators.conditions import Comparison
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
@@ -150,6 +150,23 @@ def test_audit_events_match_and_carry_shard_labels():
                     if "shard" in event.detail}
     assert shard_labels <= {0, 1}
     assert shard_labels  # worker events did flow through with labels
+
+
+@pytest.mark.parametrize("join", [False, True])
+def test_audit_counts_exact_when_workers_evict(join):
+    """Each worker holds only its newest ``capacity`` events; the
+    merged per-kind counts and eviction count must still be exact."""
+    def hub():
+        return Observability(audit=AuditLog(capacity=5))
+
+    base_dsms = build_dsms(7, observability=hub(), join=join)
+    base_dsms.run()
+    dsms = build_dsms(7, observability=hub(), join=join)
+    dsms.run(shards=2)
+    assert sum(base_dsms.audit.counts.values()) > 4 * 5
+    assert dsms.audit.counts == base_dsms.audit.counts
+    assert dsms.audit.evicted == base_dsms.audit.evicted
+    assert len(dsms.audit) == 5
 
 
 def test_tracing_tier_composes_with_shard_attrs():
