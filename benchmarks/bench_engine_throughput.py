@@ -15,7 +15,9 @@ root — the execution-mode and observability-overhead numbers quoted in
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
 or as the CI perf regression gate (reduced workload, exit 1 if the
-columnar tier is slower than plain batched at ``tuples_per_sp=100``)::
+columnar tier is slower than plain batched at ``tuples_per_sp=100``, or
+if batched execution falls below its floor over element-wise at
+``tuples_per_sp=1`` with 4 queries)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --perf-smoke
 
@@ -76,6 +78,12 @@ AUDIT_TIERS = ("off", "audit", "audit_read")
 #: audit tier and 4.4-4.8x with the trail read back.
 AUDIT_BUDGET = 2.0
 AUDIT_READ_BUDGET = 6.5
+
+#: ``--perf-smoke`` floor for batched over element-wise throughput at
+#: tuples_per_sp=1 with 4 queries (segment envelopes).  On a 2-vCPU Xeon
+#: host with Python 3.11.7 (6,000 tuples) five gate runs measured
+#: 1.54-1.61x; before envelopes the ratio was 0.91x.
+SP_DENSE_BATCHED_MIN = 1.3
 
 
 def _make_observability(tier: str) -> Observability:
@@ -677,6 +685,21 @@ def perf_smoke(n_tuples: int = 6_000) -> int:
         print("PERF REGRESSION: columnar tier slower than plain "
               "segment-batched execution")
         return 1
+    # The same with a shared select fanning out to 4 queries: the
+    # columnar tier is on by default, so it must not cost the default
+    # path against plain batching there (shield-only chains below the
+    # fan-out are left unfused; ratio ~1.0, hence the noise allowance).
+    fan = _measure_modes(4, 100, n_tuples, repeats=9)
+    f_ratio = (fan["columnar"]["elements_per_second"]
+               / fan["batched"]["elements_per_second"])
+    print(f"perf-smoke tuples_per_sp=100 n_queries=4: "
+          f"batched={fan['batched']['elements_per_second']:,.0f} "
+          f"columnar={fan['columnar']['elements_per_second']:,.0f}"
+          f" elem/s  ratio={f_ratio:.2f}x")
+    if f_ratio < 0.95:
+        print("PERF REGRESSION: columnar tier slower than plain "
+              "segment-batched execution below a fan-out")
+        return 1
     # sp-dense floor: at tuples_per_sp=1 every segment is below
     # MIN_FUSED_ROWS, so the fused tier must delegate to the native
     # batch path instead of materializing one-row ColumnBatches.  A
@@ -693,6 +716,21 @@ def perf_smoke(n_tuples: int = 6_000) -> int:
     if s_ratio < 0.95:
         print("PERF REGRESSION: columnar tier pays a per-segment "
               "materialization tax on sp-dense streams")
+        return 1
+    # The paper's weakest point (Fig 7a, sp:tuple 1/1) with a shared
+    # plan: each sp rides in the one-tuple envelope it opens and is
+    # resolved once for every shield, so batching must beat
+    # element-wise execution there too.
+    dense = _measure_modes(4, 1, n_tuples, repeats=9)
+    d_ratio = (dense["batched"]["elements_per_second"]
+               / dense["unbatched"]["elements_per_second"])
+    print(f"perf-smoke tuples_per_sp=1 n_queries=4: "
+          f"unbatched={dense['unbatched']['elements_per_second']:,.0f} "
+          f"batched={dense['batched']['elements_per_second']:,.0f}"
+          f" elem/s  ratio={d_ratio:.2f}x")
+    if d_ratio < SP_DENSE_BATCHED_MIN:
+        print(f"PERF REGRESSION: batched execution below "
+              f"{SP_DENSE_BATCHED_MIN}x element-wise at sp:tuple 1/1")
         return 1
     print("perf-smoke OK")
     return 0

@@ -141,8 +141,11 @@ def combine_batch(
     This is the analyzer's "combine similar policies" duty: the merged
     sp authorizes the union of the merged roles.  Sps whose SRP is not
     enumerable are passed through unchanged.  Input order of distinct
-    (ddp, sign) groups is preserved.
+    (ddp, sign) groups is preserved.  A one-sp batch (every batch of
+    an sp-dense stream) has nothing to merge and is returned as-is.
     """
+    if len(sps) == 1:
+        return list(sps)
     merged: dict[tuple, list[SecurityPunctuation]] = {}
     order: list[tuple] = []
     passthrough: list[SecurityPunctuation] = []
@@ -394,90 +397,60 @@ class SPAnalyzer:
         return Policy(processed)
 
     # -- streaming interface ---------------------------------------------------
-    def analyze(self, elements: Iterable) -> Iterator:
+    def analyze(self, elements: Iterable, *,
+                run_breaks: bool = False) -> Iterator:
         """Transform a raw element stream, rewriting sp-batches in place.
 
         Data tuples pass through untouched; maximal runs of consecutive
         sps are processed as batches (grouped further by timestamp, per
         the sp-batch definition).
+
+        With ``run_breaks`` a :data:`~repro.stream.batch.RUN_BREAK`
+        precedes every batch rewrite, for a run-coalescing consumer: it
+        closes its open tuple run there, so the run is processed before
+        the rewrite's audit records (``analyzer.refine``), as it is
+        when the feed is consumed element by element.
         """
-        from repro.stream.element import is_punctuation
+        from repro.stream.batch import RUN_BREAK
 
-        pending: list[SecurityPunctuation] = []
-        for element in elements:
-            if is_punctuation(element):
-                if pending and element.ts != pending[-1].ts:
-                    yield from self.process_batch(pending)
-                    pending = []
-                pending.append(element)
-            else:
-                if pending:
-                    yield from self.process_batch(pending)
-                    pending = []
-                yield element
-        if pending:
-            yield from self.process_batch(pending)
-
-    def analyze_batched(self, elements: Iterable, *,
-                        max_batch: int | None = None) -> Iterator:
-        """:meth:`analyze` fused with run coalescing in one generator.
-
-        The single-source execution fast path: instead of stacking
-        ``analyze`` and
-        :func:`~repro.stream.batch.coalesce_elements` (two generator
-        layers, two per-element type dispatches), this yields rewritten
-        sp-batches *and* :class:`~repro.stream.batch.TupleBatch` runs
-        from one loop.  Batch partitioning (breaks at every sp, at
-        ``max_batch`` tuples, singleton runs unwrapped) matches the
-        composed form, so feeds are byte-identical.
-        """
-        from repro.stream.batch import DEFAULT_MAX_BATCH, TupleBatch
-
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
-        # Per-element hot loop: the punctuation test is inlined (no
-        # ``is_punctuation`` call frame) and the run-append bound once
-        # per run (rebound on flush — ``TupleBatch`` keeps the list by
-        # reference, so the run must be a fresh list each time).
         sp_type = SecurityPunctuation
         process_batch = self.process_batch
         pending: list[SecurityPunctuation] = []
-        run: list = []
-        run_append = run.append
         for element in elements:
             if isinstance(element, sp_type):
-                if run:
-                    if len(run) == 1:
-                        # Singleton runs unwrap to the bare tuple, so
-                        # nothing keeps the list — clear and reuse it
-                        # (sp-dense feeds flush every element or two).
-                        yield run[0]
-                        run.clear()
-                    else:
-                        yield TupleBatch(run)
-                        run = []
-                        run_append = run.append
                 if pending and element.ts != pending[-1].ts:
+                    if run_breaks:
+                        yield RUN_BREAK
                     yield from process_batch(pending)
                     pending = []
                 pending.append(element)
             else:
                 if pending:
+                    if run_breaks:
+                        yield RUN_BREAK
                     yield from process_batch(pending)
                     pending = []
-                run_append(element)
-                if len(run) >= max_batch:
-                    if len(run) == 1:
-                        yield run[0]
-                        run.clear()
-                    else:
-                        yield TupleBatch(run)
-                        run = []
-                        run_append = run.append
-        # At most one of the two buffers is non-empty here: an sp
-        # flushes the tuple run on arrival, a tuple flushes the
-        # pending sps.
+                yield element
         if pending:
-            yield from self.process_batch(pending)
-        if run:
-            yield run[0] if len(run) == 1 else TupleBatch(run)
+            if run_breaks:
+                yield RUN_BREAK
+            yield from process_batch(pending)
+
+    def analyze_batched(self, elements: Iterable, *,
+                        max_batch: int | None = None) -> Iterator:
+        """:meth:`analyze`, coalesced into segment envelopes.
+
+        The single-source execution path: every rewritten sp-batch
+        rides at the head of the tuple run it opens, by the one rule of
+        :mod:`repro.stream.batch` (this *is*
+        :func:`~repro.stream.batch.coalesce_elements` over the analyzed
+        feed, so the multi-source :func:`~repro.stream.batch.coalesce_feed`
+        yields the same envelopes).  The analyzed feed carries run
+        breaks, so a run is released before the next batch is
+        rewritten.
+        """
+        from repro.stream.batch import DEFAULT_MAX_BATCH, coalesce_elements
+
+        return coalesce_elements(
+            self.analyze(elements, run_breaks=True),
+            max_batch=DEFAULT_MAX_BATCH if max_batch is None else max_batch)

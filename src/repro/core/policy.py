@@ -52,6 +52,7 @@ __all__ = [
     "override",
     "policy_from_sps",
     "resolve_tuple_policy",
+    "uniform_tuple_policy",
     "wildcard_policy_roles",
     "EMPTY_POLICY",
 ]
@@ -461,6 +462,34 @@ class TuplePolicy:
 
 #: The denial-by-default policy: no roles authorized for anything.
 EMPTY_POLICY = TuplePolicy(RoleSet(), ts=float("-inf"))
+
+
+def uniform_tuple_policy(
+    sps: Sequence[SecurityPunctuation],
+) -> TuplePolicy | None:
+    """The one resolution an sp-batch gives every tuple, if it has one.
+
+    A non-empty batch of absolute (non-incremental) positive sps with
+    fully wildcard DDPs and one timestamp authorizes the union of its
+    roles for every tuple of every stream, so it resolves to a single
+    shared :class:`TuplePolicy` without building a :class:`Policy`.
+    Any other batch returns ``None`` and is resolved per tuple.
+    """
+    ts = sps[0].ts
+    for sp in sps:
+        ddp = sp.ddp
+        if not (sp.sign is Sign.POSITIVE and not sp.incremental
+                and sp.ts == ts and ddp.stream.is_wildcard()
+                and ddp.tuple_id.is_wildcard()
+                and ddp.attribute.is_wildcard()):
+            return None
+    if len(sps) == 1:
+        roles: frozenset[str] | set[str] = sps[0].roles()
+    else:
+        roles = set()
+        for sp in sps:
+            roles |= sp.roles()
+    return TuplePolicy(RoleSet(roles), ts=ts)
 
 
 def policy_from_sps(

@@ -362,14 +362,16 @@ class DSMS:
         self._live_plan = plan
         return plan, sinks
 
-    def _analyzed_sources(self, *,
-                          coalesce: bool = False) -> list[StreamSource]:
+    def _analyzed_sources(self, *, coalesce: bool = False,
+                          run_breaks: bool = False) -> list[StreamSource]:
         """Sources with sp analysis applied (policy-carrying streams).
 
         With ``coalesce=True`` each source also groups tuple runs into
         :class:`~repro.stream.batch.TupleBatch` envelopes inside the
         same generator (``analyze_batched``), for the executor's
-        pre-batched single-source fast path.
+        pre-batched single-source fast path.  ``run_breaks`` marks
+        batch rewrites for the executor's own coalescing (see
+        :meth:`~repro.core.analyzer.SPAnalyzer.analyze`).
         """
         sources: list[StreamSource] = []
         for stream_id in self.catalog.stream_ids():
@@ -384,7 +386,8 @@ class DSMS:
                             iter(b)))
                 else:
                     factory = (
-                        lambda b=base: self.analyzer.analyze(iter(b)))
+                        lambda b=base: self.analyzer.analyze(
+                            iter(b), run_breaks=run_breaks))
                 sources.append(CallbackSource(registered.schema, factory))
             elif coalesce:
                 sources.append(CallbackSource(
@@ -455,8 +458,8 @@ class DSMS:
                                analyze_sps=analyze_sps,
                                batching=batching, columnar=columnar)
         plan, sinks = self.build_plan(optimize=optimize)
-        sources = (self._analyzed_sources() if analyze_sps
-                   else self.catalog.sources())
+        sources = (self._analyzed_sources(run_breaks=batching)
+                   if analyze_sps else self.catalog.sources())
         prebatched = False
         if batching and len(sources) == 1:
             # Single-source workload: fuse sp analysis and run

@@ -11,15 +11,20 @@ Two execution modes share that delivery discipline:
 
 * **Element-wise** (``batching=False``): every stream element is
   dispatched individually — the reference semantics.
-* **Segment-batched** (``batching=True``, the default): runs of
-  consecutive same-stream tuples between sps — pieces of a single
-  s-punctuated segment — are coalesced into
-  :class:`~repro.stream.batch.TupleBatch` envelopes and pushed through
-  operators' :meth:`~repro.operators.base.Operator.process_batch` fast
-  paths.  A Security Shield passes or drops a whole uniform segment in
+* **Segment-batched** (``batching=True``, the default): each run of
+  consecutive same-stream tuples between sps — a piece of a single
+  s-punctuated segment — is coalesced into a
+  :class:`~repro.stream.batch.TupleBatch` envelope together with the
+  sp-batch that opens it, and pushed through operators'
+  :meth:`~repro.operators.base.Operator.process_batch` fast paths, so
+  an operator gets a whole segment in one dispatch.  A Security Shield
+  adopts the envelope's sp-batch (resolved once per envelope for all
+  shields it reaches) and passes or drops a whole uniform segment in
   O(1); select/project filter and map runs in single comprehensions.
   Operators without a native batch path fall back to the per-element
-  loop automatically, so results are identical in both modes.
+  loop (head sps first) automatically, so results are identical in
+  both modes.  Envelope sps count in ``ExecutionReport.sps_in`` and
+  ``elements_in`` exactly as bare sps do.
 
 Audit order: with an :class:`~repro.observability.AuditLog` attached,
 batches still flow whole.  Each top-level batch's records are
@@ -31,7 +36,14 @@ element-wise record order.  Ordinals ride on the work stack, not on
 tuple identity, because Project creates new tuple objects.  Operators
 whose batch output is not their input's tuples (joins, group-by,
 intersect; see :attr:`~repro.operators.base.Operator.audit_batch_safe`)
-get their input per tuple under audit, each tuple keeping its ordinal.
+get their input per element under audit — the envelope's head sps
+first, then each tuple keeping its ordinal.  No operator records an
+audit event on sp arrival, so head sps need no key of their own.  The
+SP Analyzer records outside any block (``analyzer.refine``, when it
+rewrites a batch); coalescing must not hold a tuple run past that
+point, so analyzed sources mark each rewrite with a
+:data:`~repro.stream.batch.RUN_BREAK` that closes the open run first
+(the merge passes a break on as soon as it refills that source).
 
 The push loop is iterative (an explicit work stack, LIFO with reversed
 pushes to preserve depth-first order), so deep plans never hit Python's
@@ -198,11 +210,16 @@ class Executor:
                 instruments.mark_ingest(time.perf_counter())
             if type(element) is TupleBatch:
                 size = len(element.tuples)
-                elements_in += size
+                head = len(element.sps)
+                elements_in += size + head
                 tuples_in += size
+                sps_in += head
                 if instruments is not None:
                     instruments.tuples_in.inc(size)
+                    if head:
+                        instruments.sps_in.inc(head)
                 if causal is not None:
+                    # One trace per envelope: its head sps ride in it.
                     causal.begin("batch", stream=stream_id, size=size)
             elif isinstance(element, sp_type):
                 elements_in += 1
@@ -322,10 +339,14 @@ class Executor:
                 else:
                     operator = node.operator
                     if key is not None and not operator.audit_batch_safe:
+                        # Per element, head sps first; an sp takes the
+                        # ordinal of the tuple its arrival precedes.
                         tuples = element.tuples
                         for index in range(len(tuples) - 1, -1, -1):
                             append((node, tuples[index], port,
                                     (ords[index], path)))
+                        for sp in reversed(element.sps):
+                            append((node, sp, port, (ords[0], path)))
                         continue
                     outputs = operator.process_batch(element, port)
             else:
@@ -389,6 +410,9 @@ class Executor:
                         for index in range(rows - 1, -1, -1):
                             append((node, tuples[index], port, parent,
                                     (ords[index], path)))
+                        for sp in reversed(element.sps):
+                            append((node, sp, port, parent,
+                                    (ords[0], path)))
                         continue
                     begun = clock()
                     outputs = operator.process_batch(element, port)

@@ -322,7 +322,8 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
                            analyzer.analyze_batched(iter(b)))
                 prebatched = True
             else:
-                factory = lambda b=base: analyzer.analyze(iter(b))
+                factory = (lambda b=base: analyzer.analyze(
+                    iter(b), run_breaks=task.batching))
             sources.append(CallbackSource(schema, factory))
         elif single:
             sources.append(CallbackSource(

@@ -19,12 +19,12 @@ from its output.  The placement, not the operator, differs; the
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.bitmap import AbstractRoleSet, RoleSet
 from repro.core.punctuation import SecurityPunctuation
 from repro.operators.base import PolicyTracker, UnaryOperator
-from repro.stream.batch import TupleBatch
+from repro.stream.batch import TupleBatch, forward
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
@@ -46,7 +46,7 @@ class AccessFilter(UnaryOperator):
         #: result consumer.
         self.strip_sps = strip_sps
         self.tracker = PolicyTracker(stream_id)
-        self._held_sps: list[SecurityPunctuation] = []
+        self._held_sps: Sequence[SecurityPunctuation] = []
         self.tuples_blocked = 0
         self._predicate_list = sorted(self.predicate.names())
 
@@ -55,7 +55,7 @@ class AccessFilter(UnaryOperator):
         if isinstance(element, SecurityPunctuation):
             self.tracker.observe_sp(element)
             if not self.strip_sps:
-                self._held_sps.append(element)
+                self._held_sps = [*self._held_sps, element]
             return []
         assert isinstance(element, DataTuple)
         policy = self.tracker.policy_for(element)
@@ -77,10 +77,24 @@ class AccessFilter(UnaryOperator):
         out.append(element)
         return out
 
+    def take_head(self, batch: TupleBatch) -> None:
+        """Consume envelope ``batch``'s head sps, as :meth:`_process`
+        does each sp (the fused columnar tier calls this too)."""
+        self.tracker.observe_envelope(batch)
+        if not self.strip_sps:
+            held = self._held_sps
+            self._held_sps = [*held, *batch.sps] if held else batch.sps
+
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
-        """Batch fast path: resolve and check the run in one loop."""
+        """Batch fast path: resolve and check the run in one loop.
+
+        The envelope's head sps are adopted first (one shared
+        resolution per envelope); kept sps head the passing run.
+        """
         tracker = self.tracker
+        if batch.sps:
+            self.take_head(batch)
         predicate = self.predicate
         tuples = batch.tuples
         self.stats.comparisons += len(tuples)
@@ -105,13 +119,8 @@ class AccessFilter(UnaryOperator):
         self.tuples_blocked += len(tuples) - len(passing)
         if not passing:
             return []
-        out: list[StreamElement] = []
-        if self._held_sps:
-            out.extend(self._held_sps)
-            self._held_sps = []
-        out.append(passing[0] if len(passing) == 1
-                   else TupleBatch(passing))
-        return out
+        held, self._held_sps = self._held_sps, []
+        return [forward(batch, passing, held)]
 
     def _prov_item(self, item: DataTuple, policy, passing: bool) -> None:
         """Provenance record for one filter verdict.

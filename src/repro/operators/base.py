@@ -24,12 +24,14 @@ Two reusable pieces live here:
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 from repro.core.bitmap import RoleSet
 from repro.core.policy import (EMPTY_POLICY, AccessPolicy, Policy,
                                TuplePolicy, apply_incremental_batch,
-                               has_attribute_scope, wildcard_policy_roles)
-from repro.core.punctuation import SecurityPunctuation, Sign
+                               has_attribute_scope, uniform_tuple_policy,
+                               wildcard_policy_roles)
+from repro.core.punctuation import SecurityPunctuation
 from repro.errors import PlanError, PolicyError
 from repro.stream.batch import TupleBatch
 from repro.stream.element import StreamElement
@@ -38,8 +40,6 @@ from repro.stream.window import policy_is_uniform
 
 __all__ = ["OperatorStats", "Operator", "UnaryOperator", "BinaryOperator",
            "PolicyTracker", "SPEmitter"]
-
-_POSITIVE = Sign.POSITIVE
 
 
 #: Default smoothing factor for the per-element processing-time EWMA.
@@ -153,15 +153,17 @@ class Operator:
     # -- batched execution ------------------------------------------------
     def process_batch(self, batch: TupleBatch,
                       port: int = 0) -> list[StreamElement]:
-        """Consume one segment run on ``port``; return emitted elements.
+        """Consume one segment envelope on ``port``; return emitted elements.
 
         The batched counterpart of :meth:`process`: stats counters are
         updated in amortized per-batch increments (one wrapper, one
-        pair of clock reads per run instead of per element).  Emitted
-        elements may include :class:`TupleBatch` envelopes, which count
-        as their length.  Subclasses override :meth:`_process_batch`
-        for a native batch path; the default falls back to the
-        element-wise loop, so plans stay correct by construction.
+        pair of clock reads per envelope instead of per element).  The
+        envelope's head sps count as ``sps_in``; emitted envelopes
+        count their tuples and head sps, so every counter matches
+        element-wise execution.  Subclasses override
+        :meth:`_process_batch` for a native batch path; the default
+        falls back to the element-wise loop, so plans stay correct by
+        construction.
         """
         if not 0 <= port < self.arity:
             raise PlanError(f"{self.name}: invalid port {port}")
@@ -170,7 +172,7 @@ class Operator:
         out = self._process_batch(batch, port)
         elapsed = time.perf_counter() - start
         stats.processing_time += elapsed
-        n = len(batch)
+        n = len(batch.tuples)
         if n:
             # Per-element EWMA, updated once with the run's mean cost.
             stats.ewma_seconds += stats.alpha * (elapsed / n
@@ -181,9 +183,11 @@ class Operator:
                 # between execution modes; values don't skew).
                 self._m_latency.observe(elapsed / n)
         stats.tuples_in += n
+        stats.sps_in += len(batch.sps)
         for item in out:
-            if isinstance(item, TupleBatch):
-                stats.tuples_out += len(item)
+            if type(item) is TupleBatch:
+                stats.tuples_out += len(item.tuples)
+                stats.sps_out += len(item.sps)
             elif isinstance(item, SecurityPunctuation):
                 stats.sps_out += 1
             else:
@@ -192,10 +196,16 @@ class Operator:
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
-        """Per-element fallback: every operator batches correctly."""
+        """Per-element fallback: every operator batches correctly.
+
+        The head sps go through :meth:`_process` first, one by one,
+        exactly as they arrive element-wise.
+        """
         out: list[StreamElement] = []
         extend = out.extend
         process = self._process
+        for sp in batch.sps:
+            extend(process(sp, port))
         for item in batch.tuples:
             extend(process(item, port))
         return out
@@ -291,8 +301,8 @@ class PolicyTracker:
     """
 
     __slots__ = ("stream_id", "_current", "_current_raw", "_current_ts",
-                 "_batch", "_pending", "_uniform", "_shared",
-                 "_shared_any", "_cache", "attribute")
+                 "_batch", "_pending", "_uniform", "_attr_scoped",
+                 "_shared", "_shared_any", "_cache", "attribute")
 
     def __init__(self, stream_id: str, attribute: str | None = None):
         #: Nominal input stream (informational; resolution always uses
@@ -307,8 +317,11 @@ class PolicyTracker:
         self._current_raw: tuple[SecurityPunctuation, ...] | None = None
         self._current_ts: float | None = None
         self._batch: list[SecurityPunctuation] = []
-        self._pending: list[SecurityPunctuation] = []
+        self._pending: Sequence[SecurityPunctuation] = []
         self._uniform = True
+        #: Whether the (non-uniform) current policy has attribute-scoped
+        #: sps — computed once per batch, not per lookup.
+        self._attr_scoped = False
         #: Per-sid shared resolution for uniform policies.
         self._shared: dict[str, TuplePolicy] = {}
         #: Sid-independent resolution (uniform + wildcard streams) —
@@ -321,6 +334,31 @@ class PolicyTracker:
         if self._batch and sp.ts != self._batch[0].ts:
             self._finalize_batch()
         self._batch.append(sp)
+
+    def observe_envelope(self, batch: TupleBatch) -> None:
+        """Adopt the sp-batch at the head of envelope ``batch``.
+
+        Equivalent to :meth:`observe_sp` on each head sp followed by
+        the finalization the envelope's first tuple triggers — but a
+        uniform batch takes the resolution cached on the envelope
+        (:meth:`~repro.stream.batch.TupleBatch.shared_policy`), so every
+        tracker the envelope reaches shares one resolution.  Batches
+        that extend a pending same-timestamp batch, incremental and
+        non-uniform batches keep the per-tracker path.
+        """
+        sps = batch.sps
+        if self._batch and self._batch[0].ts != sps[0].ts:
+            # A superseded bare batch still takes over first (it may be
+            # the base an incremental batch edits, or newer than ours).
+            self._finalize_batch()
+        shared = None if self._batch else batch.shared_policy()
+        if shared is None:
+            for sp in sps:
+                self.observe_sp(sp)
+            return
+        if self._current_ts is not None and shared.ts < self._current_ts:
+            return  # override() semantics, as in _finalize_batch
+        self._adopt(sps, shared)
 
     def _finalize_batch(self) -> None:
         batch = self._batch
@@ -337,49 +375,41 @@ class PolicyTracker:
                     "incremental sps require a segment-scoped "
                     "(wildcard-DDP) current policy")
             batch = apply_incremental_batch(current, batch)
-            self._batch = batch
-        ts = batch[0].ts
-        if self._current_ts is not None and ts < self._current_ts:
+        self._batch = []
+        if self._current_ts is not None and batch[0].ts < self._current_ts:
             # A policy older than the current one never takes over
             # (override() semantics); in an ordered stream this only
             # happens with reordering slack at play.
-            self._batch = []
             return
+        self._adopt(batch, uniform_tuple_policy(batch))
+
+    def _adopt(self, batch: Sequence[SecurityPunctuation],
+               shared: TuplePolicy | None) -> None:
+        """Make the finalized ``batch`` the policy in force.
+
+        ``shared`` is its sid-independent resolution (a batch of
+        positive sps with fully wildcard DDPs resolves identically for
+        every tuple), or ``None`` to materialize the full policy.
+        """
         self._pending = batch
-        self._batch = []
         self._current_raw = tuple(batch)
-        self._current_ts = ts
+        self._current_ts = batch[0].ts
         self._current = None
         self._shared = {}
-        self._shared_any = None
+        self._shared_any = shared
         self._cache = {}
-        # Sid-independent fast path: a batch of positive sps with fully
-        # wildcard DDPs resolves identically for every tuple.
-        fast = True
-        for sp in batch:
-            ddp = sp.ddp
-            if not (sp.sign is _POSITIVE and ddp.stream.is_wildcard()
-                    and ddp.tuple_id.is_wildcard()
-                    and ddp.attribute.is_wildcard()):
-                fast = False
-                break
-        if fast:
+        if shared is not None:
             self._uniform = True
-            if len(batch) == 1:
-                roles: frozenset[str] | set[str] = batch[0].roles()
-            else:
-                roles = set()
-                for sp in batch:
-                    roles |= sp.roles()
-            self._shared_any = TuplePolicy(RoleSet(roles), ts=ts)
         else:
             self._materialize()
 
     def _materialize(self) -> None:
         """Build the full :class:`Policy` for the current batch."""
         assert self._current_raw is not None
-        self._current = Policy(self._current_raw)
-        self._uniform = policy_is_uniform(self._current, self.stream_id)
+        current = self._current = Policy(self._current_raw)
+        self._uniform = policy_is_uniform(current, self.stream_id)
+        self._attr_scoped = (not self._uniform
+                             and has_attribute_scope(current))
 
     def current_policy_if_simple(self) -> AccessPolicy | None:
         """Current policy without finalizing a pending batch."""
@@ -435,7 +465,7 @@ class PolicyTracker:
                     item.sid, item.tid, self.attribute)
                 self._cache[key] = cached
             return cached
-        if has_attribute_scope(current):
+        if self._attr_scoped:
             key = (item.sid, item.tid, tuple(item.values))
             cached = self._cache.get(key)
             if cached is None:
@@ -460,10 +490,11 @@ class PolicyTracker:
     @property
     def is_uniform(self) -> bool:
         """Whether the current policy resolves identically for all tuples."""
-        self._finalize_batch()
+        if self._batch:
+            self._finalize_batch()
         return self._uniform
 
-    def take_pending_sps(self) -> list[SecurityPunctuation]:
+    def take_pending_sps(self) -> Sequence[SecurityPunctuation]:
         """Sps of the current policy not yet propagated downstream.
 
         Operators that *delay* sp propagation (select — emit sps only

@@ -100,6 +100,8 @@ class DuplicateElimination(UnaryOperator):
         flip the stored output policy), so the win here is amortizing
         the wrapper and the sp/tuple dispatch, not the decision.
         """
+        if batch.sps:
+            self.tracker.observe_envelope(batch)
         out: list[StreamElement] = []
         extend = out.extend
         process_tuple = self._process_tuple

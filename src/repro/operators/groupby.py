@@ -136,6 +136,8 @@ class GroupBy(UnaryOperator):
     def _process_batch(self, batch, port: int) -> list[StreamElement]:
         """Batch path: one tight tuple loop (aggregation stays
         per-tuple — every arrival updates its subgroup's window)."""
+        if batch.sps:
+            self.tracker.observe_envelope(batch)
         out: list[StreamElement] = []
         extend = out.extend
         process_tuple = self._process_tuple

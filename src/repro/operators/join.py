@@ -136,12 +136,15 @@ class SAJoinBase(BinaryOperator):
     def _process_batch(self, batch, port: int) -> list[StreamElement]:
         """Batch path: open the run's segment once, then probe per tuple.
 
-        A batch never contains sps, so the pending sp-batch (if any)
-        is finalized exactly once up front; the per-tuple loop then
+        The envelope's head sps are collected first (as element-wise);
+        no sp follows them inside the run, so the pending sp-batch is
+        finalized exactly once up front; the per-tuple loop then
         skips dispatch overhead and probes the opposite window
         directly.  Window invalidation stays per tuple — expiry depends
         on each probing tuple's own timestamp.
         """
+        for sp in batch.sps:
+            self._process(sp, port)
         start = time.perf_counter()
         self._open_segment(port)
         self.sp_maintenance_time += time.perf_counter() - start

@@ -85,14 +85,20 @@ class Project(UnaryOperator):
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
-        """Batch fast path: project the whole run in one comprehension."""
+        """Batch fast path: project the whole run in one comprehension.
+
+        The envelope's head sps are pruned as element-wise; the
+        survivors (and any denial marker) head the projected run.
+        """
+        head: list[StreamElement] = []
+        for sp in batch.sps:
+            head.extend(self._process(sp, port))
+        head.extend(self._close_batch())
         attributes = self.attributes
-        marker = self._close_batch()
-        projected: StreamElement = TupleBatch(
-            [item.project(attributes) for item in batch.tuples])
-        if marker:
-            return marker + [projected]
-        return [projected]
+        projected = [item.project(attributes) for item in batch.tuples]
+        # Always an envelope, even for one tuple: projected tuples are
+        # new objects, so only a same-length run maps audit ordinals.
+        return [TupleBatch(projected, tuple(head))]
 
     def _sp_survives(self, sp: SecurityPunctuation) -> bool:
         """False iff the sp describes only projected-away attributes."""

@@ -11,10 +11,12 @@ them to protect).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.punctuation import SecurityPunctuation
 from repro.operators.base import UnaryOperator
 from repro.operators.conditions import Condition, FuncCondition
-from repro.stream.batch import TupleBatch
+from repro.stream.batch import TupleBatch, forward
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
@@ -67,7 +69,23 @@ class Select(UnaryOperator):
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
-        """Batch fast path: filter the whole run in one comprehension."""
+        """Batch fast path: filter the whole run in one comprehension.
+
+        The envelope's head sps join the held sps first (a previous
+        segment that passed nothing loses its sps, as element-wise).
+        A run that passes whole with exactly its own sps (or none)
+        leaves as the same envelope.
+        """
+        sps = batch.sps
+        held: Sequence[SecurityPunctuation] = self._held_sps
+        if sps:
+            if not held or self._after_tuple:
+                # The previous segment ended without a passing tuple:
+                # its sps are dropped.
+                self.sps_discarded += len(held)
+                held = sps
+            else:
+                held = [*held, *sps]
         self._after_tuple = True
         tuples = batch.tuples
         condition = self.condition
@@ -75,14 +93,11 @@ class Select(UnaryOperator):
         passing = [item for item in tuples if condition(item)]
         self.tuples_dropped += len(tuples) - len(passing)
         if not passing:
+            if held is not self._held_sps:
+                self._held_sps = list(held)
             return []
-        out: list[StreamElement] = []
-        if self._held_sps:
-            out.extend(self._held_sps)
-            self._held_sps = []
-        out.append(passing[0] if len(passing) == 1
-                   else TupleBatch(passing))
-        return out
+        self._held_sps = []
+        return [forward(batch, passing, held)]
 
     def flush(self) -> list[StreamElement]:
         self.sps_discarded += len(self._held_sps)

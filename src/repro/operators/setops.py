@@ -59,6 +59,8 @@ class Union(BinaryOperator):
     def _process_batch(self, batch, port: int) -> list[StreamElement]:
         """Batch path: resolve and re-punctuate the run in one loop."""
         tracker = self.trackers[port]
+        if batch.sps:
+            tracker.observe_envelope(batch)
         emitter = self.emitter
         out: list[StreamElement] = []
         for item in batch.tuples:

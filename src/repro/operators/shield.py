@@ -26,13 +26,13 @@ benchmark.
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.bitmap import AbstractRoleSet, RoleSet
 from repro.core.policy import TuplePolicy
 from repro.core.punctuation import SecurityPunctuation
 from repro.operators.base import PolicyTracker, UnaryOperator
-from repro.stream.batch import TupleBatch
+from repro.stream.batch import TupleBatch, forward
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
@@ -90,7 +90,7 @@ class SecurityShield(UnaryOperator):
         self._segment_decision: bool | None = None
         self._decision_stale = True
         #: Sps held back until the first passing tuple of their segment.
-        self._held_sps: list[SecurityPunctuation] = []
+        self._held_sps: Sequence[SecurityPunctuation] = []
         #: Tuples discarded by the shield (the security selectivity).
         self.tuples_blocked = 0
         self.sps_blocked = 0
@@ -264,15 +264,26 @@ class SecurityShield(UnaryOperator):
                  port: int) -> list[StreamElement]:
         if isinstance(element, SecurityPunctuation):
             self.tracker.observe_sp(element)
-            self._decision_stale = True
-            self._sp_text = _UNSET
-            self._prov_base = None
-            if self._m_prop is not None:
-                self._observe_segment_boundary()
+            self._sp_arrived()
             return []
         if self._m_seg is not None:
             self._segment_tuples += 1
         return self._process_tuple(element)
+
+    def _sp_arrived(self) -> None:
+        """Invalidate segment state at sp arrival (one call per sp or
+        per envelope head: repeats within a batch change nothing)."""
+        self._decision_stale = True
+        self._sp_text = _UNSET
+        self._prov_base = None
+        if self._m_prop is not None:
+            self._observe_segment_boundary()
+
+    def take_head(self, batch: TupleBatch) -> None:
+        """Consume envelope ``batch``'s head sps, as :meth:`_process`
+        does each sp (the fused columnar tier calls this too)."""
+        self.tracker.observe_envelope(batch)
+        self._sp_arrived()
 
     def _observe_segment_boundary(self) -> None:
         """Metrics at an sp arrival: close the previous segment's size
@@ -321,12 +332,18 @@ class SecurityShield(UnaryOperator):
                        port: int) -> list[StreamElement]:
         """Segment fast path: one pass/drop decision for the whole run.
 
-        A :class:`TupleBatch` never crosses an sp, so all its tuples
-        fall under one policy state; for a uniform segment the cached
-        sp-batch verdict covers the entire run in O(1) — the paper's
-        Figure 8a amortization, vectorized.  Non-uniform segments keep
-        the per-tuple decision loop.
+        The envelope's head sps are adopted first (one shared
+        resolution per envelope, see
+        :meth:`~repro.operators.base.PolicyTracker.observe_envelope`);
+        its tuples then all fall under one policy state, so for a
+        uniform segment the sp-batch verdict covers the entire run in
+        O(1) — the paper's Figure 8a amortization, vectorized.  A
+        passing run leaves as the same envelope when the sps it
+        releases are its own.  Non-uniform segments keep the per-tuple
+        decision loop.
         """
+        if batch.sps:
+            self.take_head(batch)
         tuples = batch.tuples
         if self._m_seg is not None:
             self._segment_tuples += len(tuples)
@@ -338,14 +355,14 @@ class SecurityShield(UnaryOperator):
             # staleness check, policy lookup plumbing and verdict
             # memoization hoisted out of the loop (an sp can never
             # arrive mid-batch, so the segment state is fixed here).
-            out: list[StreamElement] = []
+            passing: list[DataTuple] = []
+            released: Sequence[SecurityPunctuation] = ()
             policy_for = self.tracker.policy_for
             permits = self._permits_cached
             m_pass, m_drop = self._m_pass, self._m_drop
             audit = self.audit
             tracer = self._tracer
             traced = tracer is not None and tracer.active
-            blocked = 0
             for row, item in enumerate(tuples):
                 if permits(policy_for(item)):
                     if m_pass is not None:
@@ -353,11 +370,10 @@ class SecurityShield(UnaryOperator):
                     if traced:
                         self._prov_tuple(item, True)
                     if self._held_sps:
-                        out.extend(self._held_sps)
+                        released = self._held_sps
                         self._held_sps = []
-                    out.append(item)
+                    passing.append(item)
                 else:
-                    blocked += 1
                     if m_drop is not None:
                         m_drop.inc()
                         if self._segment_denial:
@@ -366,8 +382,10 @@ class SecurityShield(UnaryOperator):
                         self._prov_tuple(item, False)
                     if audit is not None:
                         self._audit_drop(item, row)
-            self.tuples_blocked += blocked
-            return out
+            self.tuples_blocked += len(tuples) - len(passing)
+            if not passing:
+                return []
+            return [forward(batch, passing, released)]
         tracer = self._tracer
         if not decision:
             self.tuples_blocked += len(tuples)
@@ -386,12 +404,8 @@ class SecurityShield(UnaryOperator):
             self._m_pass.inc(len(tuples))
         if tracer is not None and tracer.active:
             self._prov_run(tuples, True)
-        out = []
-        if self._held_sps:
-            out.extend(self._held_sps)
-            self._held_sps = []
-        out.append(batch)
-        return out
+        released, self._held_sps = self._held_sps, []
+        return [forward(batch, tuples, released)]
 
     def _refresh_decision(self, item: DataTuple) -> None:
         """Evaluate a newly finalized sp-batch against the predicate."""
@@ -399,9 +413,12 @@ class SecurityShield(UnaryOperator):
         # arrived) are now definitively discarded with their segment.
         self.sps_blocked += len(self._held_sps)
         self._held_sps = []
-        pending = self.tracker.take_pending_sps()
-        policy = self.tracker.policy_for(item)
-        if self.tracker.is_uniform:
+        tracker = self.tracker
+        # Finalizes any pending batch; the lookups below then find it
+        # settled.
+        pending = tracker.take_pending_sps()
+        policy = tracker.policy_for(item)
+        if tracker.is_uniform:
             self._segment_decision = self._permits(policy)
             if self._segment_decision:
                 self._held_sps = pending
@@ -415,7 +432,7 @@ class SecurityShield(UnaryOperator):
         self._decision_stale = False
         tracer = self._tracer
         if self._m_prop is not None:
-            self._segment_denial = not self.tracker.current_sps()
+            self._segment_denial = not tracker.current_sps()
             if self._sp_wall is not None:
                 # First enforcement decision under the new policy: the
                 # paper's "speed of enforcement", measured.

@@ -54,9 +54,13 @@ class CollectingSink(_LatencySinkMixin, UnaryOperator):
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
-        # Batches are unwrapped at the sink: collected results are
-        # identical with and without batched execution.
-        self.elements.extend(batch.tuples)
+        # Envelopes are unwrapped at the sink, head sps first:
+        # collected results are identical with and without batched
+        # execution.
+        elements = self.elements
+        if batch.sps:
+            elements.extend(batch.sps)
+        elements.extend(batch.tuples)
         if self._m_e2e is not None:
             # One observation per run (its tuples share one ingest).
             self._observe_emit()
@@ -103,6 +107,7 @@ class CountingSink(_LatencySinkMixin, UnaryOperator):
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
         tuples = batch.tuples
+        self.sp_count += len(batch.sps)
         self.tuple_count += len(tuples)
         if self.first_ts is None:
             self.first_ts = tuples[0].ts

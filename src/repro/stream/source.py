@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Iterator
 
+from repro.stream.batch import RUN_BREAK
 from repro.stream.element import StreamElement
 from repro.stream.schema import StreamSchema
 from repro.stream.stream import Stream
@@ -72,6 +73,12 @@ def merge_sources(
     (so sps keep preceding their tuples), and timestamp ties across
     sources are broken by source registration order, making executions
     deterministic and therefore testable.
+
+    A :data:`~repro.stream.batch.RUN_BREAK` a source yields while the
+    merge refills it is passed on at once (it has no timestamp): the
+    run coalescing downstream must close its run before the source
+    goes on.  Breaks before a source's first element are dropped —
+    nothing has been merged yet.
     """
     sources = list(sources)
     if len(sources) == 1:
@@ -90,6 +97,8 @@ def merge_sources(
     seq = 0
     for index, stream_id, iterator in iterators:
         element = next(iterator, None)
+        while element is RUN_BREAK:
+            element = next(iterator, None)
         if element is not None:
             heap.append((element.ts, index, seq, stream_id, element, iterator))
             seq += 1
@@ -98,6 +107,9 @@ def merge_sources(
         ts, index, _, stream_id, element, iterator = heapq.heappop(heap)
         yield stream_id, element
         nxt = next(iterator, None)
+        while nxt is RUN_BREAK:
+            yield stream_id, nxt
+            nxt = next(iterator, None)
         if nxt is not None:
             heapq.heappush(heap, (nxt.ts, index, seq, stream_id, nxt,
                                   iterator))

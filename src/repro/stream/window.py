@@ -62,8 +62,8 @@ def policy_is_uniform(policy: AccessPolicy | None, stream_id: str) -> bool:
 class Segment:
     """One s-punctuated segment: an sp-batch and the tuples it covers."""
 
-    __slots__ = ("access", "sps", "tuples", "_uniform", "_shared",
-                 "_cache", "stream_id")
+    __slots__ = ("access", "sps", "tuples", "_uniform", "_attr_scoped",
+                 "_shared", "_cache", "stream_id")
 
     def __init__(self, stream_id: str, access: AccessPolicy | None,
                  sps: Iterable[SecurityPunctuation] = ()):
@@ -72,6 +72,10 @@ class Segment:
         self.sps: list[SecurityPunctuation] = list(sps)
         self.tuples: deque[DataTuple] = deque()
         self._uniform = policy_is_uniform(access, stream_id)
+        #: Attribute-granular sps in a non-uniform policy (computed
+        #: once here, not on every lookup).
+        self._attr_scoped = (not self._uniform
+                             and has_attribute_scope(access))
         #: Per-sid shared resolution (uniform segments).
         self._shared: dict[str, TuplePolicy] = {}
         self._cache: dict[tuple[str, object], TuplePolicy] = {}
@@ -95,7 +99,7 @@ class Segment:
                 shared = self.access.resolve_for_tuple(item.sid)
                 self._shared[item.sid] = shared
             return shared
-        if has_attribute_scope(self.access):
+        if self._attr_scoped:
             key: tuple = (item.sid, item.tid, tuple(item.values))
             cached = self._cache.get(key)
             if cached is None:

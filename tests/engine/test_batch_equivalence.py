@@ -24,11 +24,16 @@ from dataclasses import asdict
 import pytest
 
 from repro.algebra.expressions import ScanExpr
+from repro.core.analyzer import SPAnalyzer
 from repro.core.patterns import one_of
 from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
 from repro.observability import AuditLog, Observability, Tracer
 from repro.operators.conditions import Comparison
+from repro.operators.shield import SecurityShield
+from repro.stream import batch as batch_module
+from repro.stream.batch import (DEFAULT_MAX_BATCH, TupleBatch,
+                                coalesce_elements, coalesce_feed)
 from repro.stream.schema import StreamSchema
 from repro.stream.tuples import DataTuple
 from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
@@ -185,6 +190,163 @@ def empty_segment_stream():
     ]
 
 
+# -- envelope shapes (an sp-batch riding at the head of its run) -------------
+
+def multi_sp_stream(n_segments: int = 12):
+    """Batches of one to three same-ts sps, runs of one or three."""
+    elements = []
+    ts = 0.0
+    tid = 0
+    roles = (["D"], ["N"], ["C", "D"])
+    for segment in range(n_segments):
+        ts += 1.0
+        for k in range(1 + segment % 3):
+            elements.append(SecurityPunctuation.grant(
+                roles[(segment + k) % 3], ts))
+        for _ in range(3 if segment % 2 else 1):
+            ts += 1.0
+            elements.append(DataTuple("s1", tid, {"v": float(tid)}, ts))
+            tid += 1
+    return elements
+
+
+def incremental_head_stream():
+    """Incremental batches at the head of runs (one and two tuples),
+    one of them arriving right after a superseded absolute batch."""
+    def run(tids, ts):
+        return [DataTuple("s1", tid, {"v": float(tid)}, ts + 0.1 * k)
+                for k, tid in enumerate(tids)]
+
+    return ([SecurityPunctuation.grant(["N"], 1.0)] + run([0, 1], 1.0)
+            + [SecurityPunctuation.add_roles(["D"], 2.0)] + run([2], 2.0)
+            + [SecurityPunctuation.retract_roles(["D"], 3.0),
+               SecurityPunctuation.add_roles(["C"], 3.0)] + run([3, 4], 3.0)
+            + [SecurityPunctuation.grant(["N"], 4.0),
+               SecurityPunctuation.add_roles(["D"], 5.0)] + run([5], 5.0)
+            + [SecurityPunctuation.retract_roles(["N"], 6.0)] + run([6], 6.0))
+
+
+def superseded_batch_stream():
+    """Batches overridden before any tuple: they stay bare elements,
+    and the newer batch takes over from them at the run's head."""
+    return [
+        SecurityPunctuation.grant(["D"], 1.0),
+        SecurityPunctuation.grant(["N"], 2.0),
+        DataTuple("s1", 0, {"v": 0.0}, 2.5),
+        SecurityPunctuation.grant(["N"], 3.0),
+        SecurityPunctuation.grant(["C"], 3.0),
+        SecurityPunctuation.grant(["D"], 4.0),
+        DataTuple("s1", 1, {"v": 1.0}, 4.5),
+        DataTuple("s1", 2, {"v": 2.0}, 4.6),
+        SecurityPunctuation.grant(["D"], 5.0),
+        SecurityPunctuation.grant(["N"], 6.0),
+        SecurityPunctuation.grant(["D"], 6.0),
+        DataTuple("s1", 3, {"v": 3.0}, 6.5),
+        SecurityPunctuation.grant(["D"], 7.0),
+    ]
+
+
+def tid_scoped_singleton_stream(n_segments: int = 10):
+    """A tuple-scoped sp at the head of every one-row run: the envelope
+    resolves per tuple (non-uniform), alternately granting and not."""
+    elements = []
+    for tid in range(n_segments):
+        ts = float(tid + 1)
+        scoped = tid if tid % 2 else tid + 100
+        elements.append(SecurityPunctuation.grant(
+            ["D"], ts, tuple_id=one_of([scoped])))
+        elements.append(DataTuple("s1", tid, {"v": float(tid)}, ts + 0.5))
+    return elements
+
+
+def _feed_shape(feed):
+    """Comparable form of a coalesced feed (envelopes spelled out)."""
+    return [("envelope", tuple(el.sps), tuple(el.tuples))
+            if isinstance(el, TupleBatch) else el for el in feed]
+
+
+@pytest.mark.parametrize("max_batch", [1, 2, DEFAULT_MAX_BATCH])
+@pytest.mark.parametrize("stream_builder", [
+    lambda: uniform_stream(0, 1), lambda: uniform_stream(1, 3),
+    tuple_scoped_stream, empty_segment_stream, multi_sp_stream,
+    incremental_head_stream, superseded_batch_stream,
+    tid_scoped_singleton_stream])
+def test_producers_emit_identical_feeds(stream_builder, max_batch):
+    """analyze_batched, coalesce_elements and coalesce_feed share one
+    envelope rule: identical feeds, sps riding at the head of runs."""
+    elements = stream_builder()
+    fused = list(SPAnalyzer().analyze_batched(iter(elements),
+                                              max_batch=max_batch))
+    analyzed = list(SPAnalyzer().analyze(iter(elements)))
+    marked = SPAnalyzer().analyze(iter(elements), run_breaks=True)
+    single = list(coalesce_elements(iter(analyzed), max_batch=max_batch))
+    paired = [el for _, el in coalesce_feed(
+        (("s", el) for el in marked), max_batch=max_batch)]
+    assert _feed_shape(fused) == _feed_shape(single) == _feed_shape(paired)
+    assert any(isinstance(el, TupleBatch) and el.sps for el in fused)
+    # Unrolled, the feed is the analyzed element stream, in order.
+    unrolled = []
+    for el in single:
+        if isinstance(el, TupleBatch):
+            unrolled.extend(el.sps)
+            unrolled.extend(el.tuples)
+        else:
+            unrolled.append(el)
+    assert unrolled == analyzed
+
+
+def test_envelope_resolved_once(monkeypatch):
+    """A 4-query sp:tuple 1/1 plan resolves each envelope's sp-batch
+    once, not once per shield; the cache lives on the per-run envelope,
+    never on the input sps."""
+    elements = uniform_stream(3, 1, n_tuples=200)
+    sps = [el for el in elements if isinstance(el, SecurityPunctuation)]
+    for sp in sps:
+        sp.roles()  # the sp's own memo of its role set
+    before = [dict(vars(sp)) for sp in sps]
+    resolutions = []
+    real = batch_module.uniform_tuple_policy
+
+    def counting(head):
+        resolutions.append(head)
+        return real(head)
+
+    monkeypatch.setattr(batch_module, "uniform_tuple_policy", counting)
+    seen = []  # (shield, envelope) for every envelope a shield adopts
+    shield_batch = SecurityShield._process_batch
+
+    def recording(self, batch, port):
+        if batch.sps:
+            seen.append((self, batch))
+        return shield_batch(self, batch, port)
+
+    monkeypatch.setattr(SecurityShield, "_process_batch", recording)
+
+    def run_once():
+        resolutions.clear()
+        seen.clear()
+        dsms = DSMS()
+        dsms.register_stream(SYNTH_SCHEMA, elements)
+        base = ScanExpr("synthetic").select(Comparison("x", ">", 100.0))
+        for index in range(4):
+            dsms.register_query(f"q{index}", base,
+                                roles={f"r{index + 1}", "q_role"})
+        dsms.run()
+        envelopes = {id(batch): batch for _, batch in seen}
+        shields = {id(shield) for shield, _ in seen}
+        return len(resolutions), len(envelopes), len(seen), len(shields)
+
+    first = run_once()
+    n_resolved, n_envelopes, n_adoptions, n_shields = first
+    assert n_shields == 8  # four query shields, four delivery shields
+    assert n_envelopes > 100
+    assert n_resolved == n_envelopes
+    assert n_adoptions >= 4 * n_envelopes
+    # Same input objects again: the same work, nothing cached on them.
+    assert run_once() == first
+    assert [dict(vars(sp)) for sp in sps] == before
+
+
 # -- plan shapes ------------------------------------------------------------
 
 @pytest.mark.parametrize("tuples_per_sp", [1, 3, 10])
@@ -206,7 +368,9 @@ def test_select_shield_uniform(seed, tuples_per_sp):
 
 @pytest.mark.parametrize("stream_builder",
                          [tuple_scoped_stream, held_sp_stream,
-                          empty_segment_stream])
+                          empty_segment_stream, multi_sp_stream,
+                          incremental_head_stream, superseded_batch_stream,
+                          tid_scoped_singleton_stream])
 def test_shield_non_uniform_and_edges(stream_builder):
     elements = stream_builder()
 
@@ -419,6 +583,116 @@ def _join_fanout(observability):
     return dsms
 
 
+def _project_prunes_sp(observability):
+    """Envelopes whose attribute-scoped sp a Project drops: some keep a
+    wildcard sp beside it, some lose every sp (a denial marker)."""
+    schema = StreamSchema("s2", ("v", "w"))
+    elements = []
+    for segment in range(8):
+        ts = float(segment * 4)
+        elements.append(SecurityPunctuation.grant(
+            ["D"], ts, attribute=one_of(["w"])))
+        if segment % 2:
+            elements.append(SecurityPunctuation.grant(["D", "N"], ts))
+        for k in range(1 + segment % 3):
+            tid = segment * 4 + k
+            elements.append(DataTuple(
+                "s2", tid, {"v": float(tid), "w": -float(tid)},
+                ts + 1 + k))
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(schema, elements)
+    dsms.register_query("v", ScanExpr("s2").project(["v"]), roles={"D"})
+    return dsms
+
+
+def _two_stream_merged(observability):
+    """Two sp-dense streams interleaved by ts: sps at stream switches
+    stay bare, the rest ride at the head of their runs."""
+    left_schema = StreamSchema("left", ("k", "a"))
+    right_schema = StreamSchema("right", ("k", "b"))
+    left, right = [], []
+    for tid in range(16):
+        ts = float(tid * 2)
+        left.append(SecurityPunctuation.grant(
+            ["D"] if tid % 3 else ["N"], ts, provider="l"))
+        left.append(DataTuple("left", tid, {"k": tid % 4, "a": tid},
+                              ts + 0.5))
+        if tid % 2:
+            left.append(DataTuple("left", 100 + tid,
+                                  {"k": tid % 4, "a": tid}, ts + 0.6))
+        right.append(SecurityPunctuation.grant(
+            ["D", "N"] if tid % 2 else ["C"], ts + 0.25, provider="r"))
+        right.append(DataTuple("right", tid, {"k": tid % 4, "b": tid},
+                               ts + 1.0))
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(left_schema, left)
+    dsms.register_stream(right_schema, right)
+    dsms.register_query("l", ScanExpr("left"), roles={"D"})
+    dsms.register_query("r", ScanExpr("right"), roles={"N"})
+    dsms.register_query(
+        "j", ScanExpr("left").join(ScanExpr("right"), "k", "k", 6.0),
+        roles={"D"})
+    return dsms
+
+
+def _select_below_shields(observability):
+    """A select ahead of the query shields sees the raw feed: bare
+    superseded batches it must hold and release together with the
+    envelope's head."""
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(SCHEMA, superseded_batch_stream())
+    base = ScanExpr("s1").select(Comparison("v", ">=", 1.0))
+    for roles in ({"D"}, {"N"}):
+        dsms.register_query("".join(roles), base.shield(roles),
+                            roles=roles, auto_shield=False)
+    return dsms
+
+
+def _refined_stream(sid, provider, offset):
+    """Runs of one to three tuples under sps a server policy refines."""
+    elements = []
+    for segment in range(10):
+        ts = float(segment * 10) + offset
+        elements.append(SecurityPunctuation.grant(
+            ["D", "N"] if segment % 2 else ["N"], ts, provider=provider))
+        for k in range(1 + segment % 3):
+            elements.append(DataTuple(sid, segment * 4 + k,
+                                      {"v": float(k)}, ts + 1 + k))
+    return elements
+
+
+def _server_policy(observability, streams=("a",)):
+    """A server policy refines every batch: the analyzer's
+    ``analyzer.refine`` records of a batch follow the previous run's
+    shield records."""
+    dsms = DSMS(observability=observability)
+    for index, sid in enumerate(streams):
+        dsms.register_stream(StreamSchema(sid, ("v",)),
+                             _refined_stream(sid, f"p{sid}", index / 2))
+    dsms.add_server_policy(SecurityPunctuation.grant(["D"], ts=0.0))
+    dsms.register_query("d", ScanExpr("a"), roles={"D"})
+    dsms.register_query("n", ScanExpr("a"), roles={"N"})
+    return dsms
+
+
+def _server_policy_two_streams(observability):
+    """The same across a merged feed: runs close before the merge
+    refills their stream."""
+    return _server_policy(observability, streams=("a", "b"))
+
+
+def _sp_dense_fanout(observability):
+    """sp:tuple 1/1 below four query shields: one envelope per tuple,
+    shared by the sibling and delivery shields."""
+    dsms = DSMS(observability=observability)
+    dsms.register_stream(SYNTH_SCHEMA, uniform_stream(6, 1, n_tuples=160))
+    base = ScanExpr("synthetic").select(Comparison("x", ">", 100.0))
+    for index in range(4):
+        dsms.register_query(f"q{index}", base,
+                            roles={f"r{index + 1}", "q_role"})
+    return dsms
+
+
 @pytest.mark.parametrize("make, hub", [
     # Eviction lands mid-run and inside one element's sealed block.
     (_shared_select_fanout, lambda: Observability(audit=AuditLog(7))),
@@ -430,9 +704,28 @@ def _join_fanout(observability):
     # and the plain push loop.
     (_shared_select_fanout, lambda: Observability(
         audit=AuditLog(), tracer=Tracer(sample=0.5))),
+    # Envelopes: every hub on (audit, tracing, metrics), and off.
+    (_project_prunes_sp, Observability.in_memory),
+    (_project_prunes_sp, Observability.disabled),
+    (_two_stream_merged, Observability.in_memory),
+    (_two_stream_merged, Observability.disabled),
+    (_select_below_shields, Observability.in_memory),
+    (_select_below_shields, Observability.disabled),
+    (_sp_dense_fanout, lambda: Observability(
+        audit=AuditLog(), tracer=Tracer(sample=0.5))),
+    (_sp_dense_fanout, Observability.disabled),
+    (_server_policy, lambda: Observability(audit=AuditLog())),
+    (_server_policy_two_streams, lambda: Observability(audit=AuditLog())),
 ], ids=["capacity7", "project-fanout", "multi-entry", "non-uniform-held",
-        "join-fanout", "traced"])
+        "join-fanout", "traced", "project-prunes-sp", "project-prunes-sp-off",
+        "two-stream", "two-stream-off", "select-below-shields",
+        "select-below-shields-off", "sp-dense-traced", "sp-dense-off",
+        "server-policy", "server-policy-two-streams"])
 def test_audit_order_cases(make, hub):
     plain, batched = run_both(make, hub=hub)
     assert_equivalent(plain, batched)
-    assert len(plain[1].audit) > 0
+    if plain[1].audit is not None:
+        assert len(plain[1].audit) > 0
+    if make in (_server_policy, _server_policy_two_streams):
+        kinds = [event.kind for event in plain[1].audit]
+        assert "analyzer.refine" in kinds and "shield.drop" in kinds

@@ -16,6 +16,7 @@ are broken by fan-out, audit, or non-fusable operators.
 import pytest
 
 from repro.algebra.expressions import ScanExpr
+from repro.core.analyzer import SPAnalyzer
 from repro.engine import fusion
 from repro.engine.dsms import DSMS
 from repro.engine.fusion import FusedChain, build_fused_chains
@@ -26,11 +27,13 @@ from repro.operators.project import Project
 from repro.operators.select import Select
 from repro.operators.shield import SecurityShield
 from repro.operators.sink import CollectingSink
+from repro.stream.batch import TupleBatch
 from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
 
 from tests.engine.test_batch_equivalence import (
     SCHEMA, assert_equivalent, empty_segment_stream, held_sp_stream,
-    tuple_scoped_stream, uniform_stream)
+    incremental_head_stream, multi_sp_stream, superseded_batch_stream,
+    tid_scoped_singleton_stream, tuple_scoped_stream, uniform_stream)
 
 
 @pytest.fixture(autouse=True)
@@ -78,16 +81,28 @@ def test_select_shield_uniform(seed, tuples_per_sp):
     assert_all_equivalent(make, observability=False)
 
 
-@pytest.mark.parametrize("stream_builder",
-                         [tuple_scoped_stream, held_sp_stream,
-                          empty_segment_stream])
-def test_shield_non_uniform_and_edges(stream_builder):
+_EDGE_STREAMS = (tuple_scoped_stream, held_sp_stream, empty_segment_stream,
+                 multi_sp_stream, incremental_head_stream,
+                 superseded_batch_stream, tid_scoped_singleton_stream)
+
+
+@pytest.mark.parametrize("stream_builder, fronted", [
+    *(pytest.param(b, False, id=b.__name__) for b in _EDGE_STREAMS),
+    *(pytest.param(b, True, id=f"{b.__name__}-select-fronted")
+      for b in _EDGE_STREAMS)])
+def test_shield_non_uniform_and_edges(stream_builder, fronted):
+    """``select-fronted`` puts a pass-all select ahead of the shields so
+    the chain fuses and the shield kernels run (a shields-only chain
+    takes the plain batched path)."""
     elements = stream_builder()
+    expr = ScanExpr("s1")
+    if fronted:
+        expr = expr.select(Comparison("v", ">=", 0.0))
 
     def make(observability):
         dsms = DSMS(observability=observability)
         dsms.register_stream(SCHEMA, elements)
-        dsms.register_query("q", ScanExpr("s1"), roles={"D"})
+        dsms.register_query("q", expr, roles={"D"})
         return dsms
 
     assert_all_equivalent(make)
@@ -193,6 +208,12 @@ class TestFusionDetection:
                                CollectingSink())
         assert build_fused_chains(plan) == {}
 
+    def test_shields_only_chain_is_not_fused(self):
+        plan, _ = _linear_plan(SecurityShield(["D"]),
+                               SecurityShield(["D", "N"]),
+                               CollectingSink())
+        assert build_fused_chains(plan) == {}
+
     def test_fanout_breaks_chain(self):
         plan = PhysicalPlan()
         select = plan.add(Select(Comparison("v", ">", 0)))
@@ -236,3 +257,34 @@ class TestFusionDetection:
         assert names == ["Select", "Project", "SecurityShield",
                          "SecurityShield"]
         assert chain.operators[-1].name == "delivery:q"
+
+
+def test_fused_chain_resolves_envelope_once(monkeypatch):
+    """Inside a fused σ → ψ → delivery ψ chain both shields adopt the
+    envelope's head sps through the envelope: one shared resolution
+    per envelope, as on the plain batched path."""
+    from repro.stream import batch as batch_module
+
+    elements = uniform_stream(2, 1, n_tuples=120)
+    resolutions = []
+    real = batch_module.uniform_tuple_policy
+
+    def counting(head):
+        resolutions.append(head)
+        return real(head)
+
+    monkeypatch.setattr(batch_module, "uniform_tuple_policy", counting)
+    dsms = DSMS()
+    dsms.register_stream(SYNTH_SCHEMA, elements)
+    # Every tuple passes the select, so each envelope's sps reach the
+    # shields directly ahead of the run.
+    dsms.register_query(
+        "q", ScanExpr("synthetic").select(Comparison("x", ">", -1.0)),
+        roles={"q_role"})
+    plan, _ = dsms.build_plan()
+    assert build_fused_chains(plan)
+    dsms.run()
+    envelopes = [el for el in SPAnalyzer().analyze_batched(iter(elements))
+                 if isinstance(el, TupleBatch) and el.sps]
+    assert len(envelopes) > 50
+    assert len(resolutions) == len(envelopes)
