@@ -3,10 +3,10 @@
 Measures whole-engine element throughput (sources → analyzer → shared
 plan → delivery) as the number of concurrently registered queries
 grows, comparing the three optimization modes (as-registered,
-per-query optimized, workload-optimized), the three execution modes
-(element-wise vs segment-batched vs fused-columnar) and the
-observability tiers (off / metrics registry on / full monitor with
-audit + tracing + dashboard rendering).
+per-query optimized, workload-optimized), the two execution modes
+(element-wise vs segment-batched) and the observability tiers (off /
+metrics registry on / full monitor with audit + tracing + dashboard
+rendering).
 
 Run standalone to (re)generate ``BENCH_throughput.json`` at the repo
 root — the execution-mode and observability-overhead numbers quoted in
@@ -14,10 +14,10 @@ root — the execution-mode and observability-overhead numbers quoted in
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
-or as the CI perf regression gate (reduced workload, exit 1 if the
-columnar tier is slower than plain batched at ``tuples_per_sp=100``, or
-if batched execution falls below its floor over element-wise at
-``tuples_per_sp=1`` with 4 queries)::
+or as the CI perf regression gate (reduced workload, exit 1 if batched
+execution falls below its floor over element-wise at
+``tuples_per_sp=100`` with 1 or 4 queries, or at ``tuples_per_sp=1``
+with 4 queries)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --perf-smoke
 
@@ -39,8 +39,8 @@ multiple of the unaudited run)::
 
 or as the UDF effect-analysis gate (strict-lints the example plan
 specs, asserts the proven-pure UDF arm compiles fully vectorized and
-the opaque arm does not, and requires the pure arm's fused columnar
-throughput to hold ≥0.95x plain batched)::
+the opaque arm does not, and requires the pure arm's batched
+throughput to beat the opaque arm's)::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --udf-smoke
 """
@@ -78,6 +78,16 @@ AUDIT_TIERS = ("off", "audit", "audit_read")
 #: audit tier and 4.4-4.8x with the trail read back.
 AUDIT_BUDGET = 2.0
 AUDIT_READ_BUDGET = 6.5
+
+#: ``--perf-smoke`` floors for batched over element-wise throughput at
+#: tuples_per_sp=100, by query count: long runs, where batched selects
+#: filter through their compiled predicate kernels.  The plain batched
+#: path must hold what the removed fused columnar tier delivered: eight
+#: runs of this gate's measurement (15 interleaved repeats, 6,000
+#: tuples, 2-vCPU Xeon host, Python 3.11.7) put that tier at
+#: 8.14-9.60x element-wise with 1 query and 13.52-17.79x with 4, and
+#: the floors are those minima rounded up.
+SEGMENT_BATCHED_MIN = {1: 8.2, 4: 13.6}
 
 #: ``--perf-smoke`` floor for batched over element-wise throughput at
 #: tuples_per_sp=1 with 4 queries (segment envelopes).  On a 2-vCPU Xeon
@@ -156,9 +166,8 @@ def elements(bench_tuples):
         accessible_fraction=0.6, seed=61))
 
 
-#: The execution-mode axis: (batching, columnar) per id.
-EXECUTION_MODES = {"unbatched": (False, False), "batched": (True, False),
-                   "columnar": (True, True)}
+#: The execution-mode axis: batching per id.
+EXECUTION_MODES = {"unbatched": False, "batched": True}
 
 
 @pytest.mark.parametrize("n_queries", QUERY_COUNTS)
@@ -166,12 +175,11 @@ EXECUTION_MODES = {"unbatched": (False, False), "batched": (True, False),
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_engine_throughput(benchmark, elements, mode, execution, n_queries):
     optimize = MODES[mode]
-    batching, columnar = EXECUTION_MODES[execution]
+    batching = EXECUTION_MODES[execution]
     dsms = build_dsms(n_queries, elements)
 
     def once():
-        return dsms.run(optimize=optimize, batching=batching,
-                        columnar=columnar)
+        return dsms.run(optimize=optimize, batching=batching)
 
     results = benchmark(once)
     total_out = sum(len(r.tuples) for r in results.values())
@@ -222,14 +230,8 @@ def _render_monitor_frame(dsms: DSMS) -> None:
 
 def _measure(n_queries: int, tuples_per_sp: int, n_tuples: int,
              batching: bool, repeats: int = 3, *,
-             columnar: bool = False, tier: str = "off") -> dict:
-    """Best-of-``repeats`` element throughput for one configuration.
-
-    ``columnar`` opts the segment-batched engine into the fused
-    columnar tier (``batching`` must be true for it to engage); the
-    plain ``batched`` axis passes ``columnar=False`` explicitly since
-    the engine enables the tier by default.
-    """
+             tier: str = "off") -> dict:
+    """Best-of-``repeats`` element throughput for one configuration."""
     import time
 
     elements = list(punctuated_stream(
@@ -241,7 +243,7 @@ def _measure(n_queries: int, tuples_per_sp: int, n_tuples: int,
     elements_in = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        dsms.run(batching=batching, columnar=columnar)
+        dsms.run(batching=batching)
         if tier == "monitor":
             _render_monitor_frame(dsms)
         elapsed = time.perf_counter() - start
@@ -307,10 +309,10 @@ def _measure_tiers(n_queries: int, tuples_per_sp: int, n_tuples: int,
 
 def _measure_modes(n_queries: int, tuples_per_sp: int, n_tuples: int,
                    repeats: int = 9) -> dict:
-    """Interleaved best-of measurement of the three execution modes.
+    """Interleaved best-of measurement of the two execution modes.
 
-    One repetition runs unbatched, batched and columnar back to back
-    and only then repeats — so every mode samples the same thermal /
+    One repetition runs unbatched and batched back to back and only
+    then repeats — so every mode samples the same thermal /
     load windows.  Sequential per-mode best-of systematically favors
     whichever configuration happened to run while the box was quiet.
     """
@@ -324,10 +326,10 @@ def _measure_modes(n_queries: int, tuples_per_sp: int, n_tuples: int,
     best = {key: float("inf") for key in EXECUTION_MODES}
     elements_in = {key: 0 for key in EXECUTION_MODES}
     for _ in range(repeats):
-        for key, (batching, columnar) in EXECUTION_MODES.items():
+        for key, batching in EXECUTION_MODES.items():
             dsms = engines[key]
             start = time.perf_counter()
-            dsms.run(batching=batching, columnar=columnar)
+            dsms.run(batching=batching)
             elapsed = time.perf_counter() - start
             best[key] = min(best[key], elapsed)
             elements_in[key] = dsms.last_report.elements_in
@@ -411,7 +413,7 @@ def main(out_path: str = "BENCH_throughput.json",
     import json
 
     report: dict = {
-        "benchmark": "element_wise_vs_batched_vs_columnar_throughput",
+        "benchmark": "element_wise_vs_batched_throughput",
         "workload": {
             "n_tuples": n_tuples,
             "policy_size": 3,
@@ -432,21 +434,14 @@ def main(out_path: str = "BENCH_throughput.json",
             base = row["unbatched"]["elements_per_second"]
             row["speedup"] = round(
                 row["batched"]["elements_per_second"] / base, 2)
-            row["speedup_columnar"] = round(
-                row["columnar"]["elements_per_second"] / base, 2)
-            row["columnar_vs_batched"] = round(
-                row["columnar"]["elements_per_second"]
-                / row["batched"]["elements_per_second"], 2)
             report["configs"].append(row)
             print(f"tuples_per_sp={tuples_per_sp:>3} n_queries={n_queries}: "
                   f"unbatched={row['unbatched']['elements_per_second']:>9,.0f}"
                   f" batched={row['batched']['elements_per_second']:>9,.0f}"
-                  f" columnar={row['columnar']['elements_per_second']:>9,.0f}"
-                  f" elem/s  speedup={row['speedup']:.2f}x"
-                  f" columnar={row['speedup_columnar']:.2f}x")
+                  f" elem/s  speedup={row['speedup']:.2f}x")
 
     # -- observability overhead axis (batched, 4 queries) ------------------
-    # Measured at tuples_per_sp=100: the fused high-throughput regime,
+    # Measured at tuples_per_sp=100: the long-run high-throughput regime,
     # where per-decision observability cost is most visible relative to
     # the engine's own work.  CPU-time estimator — see _measure_tiers.
     observability: dict = {
@@ -526,10 +521,11 @@ def main(out_path: str = "BENCH_throughput.json",
     # Same workload shape as the canonical select(x > 100), but the
     # predicate is a FuncCondition: the pure arm is in the analyzer's
     # provable fragment (read-set {x}, purity/determinism PROVEN) so
-    # the compiler hands it a bulk kernel and the fused tier engages;
-    # the opaque arm routes the identical predicate through a mutable
-    # dispatch table, its proof stays UNKNOWN, and the columnar tier
-    # falls back to the row stage — fail-closed, and this is its price.
+    # the compiler hands batched Select a bulk kernel for it; the
+    # opaque arm routes the identical predicate through a mutable
+    # dispatch table, its proof stays UNKNOWN, and the compiled
+    # predicate keeps it as a row stage — fail-closed, and this is its
+    # price.
     pure_vec, opaque_vec = _udf_vectorization()
     udf_modes = _measure_udf(1, 100, n_tuples)
     udf_axis: dict = {
@@ -538,19 +534,16 @@ def main(out_path: str = "BENCH_throughput.json",
         "pure_fully_vectorized": pure_vec,
         "opaque_fully_vectorized": opaque_vec,
         "modes": udf_modes,
-        "columnar_vs_batched_pure": round(
-            udf_modes["pure_columnar"]["elements_per_second"]
-            / udf_modes["pure_batched"]["elements_per_second"], 2),
-        "pure_vs_opaque_columnar": round(
-            udf_modes["pure_columnar"]["elements_per_second"]
-            / udf_modes["opaque_columnar"]["elements_per_second"], 2),
+        "pure_vs_opaque_batched": round(
+            udf_modes["pure_batched"]["elements_per_second"]
+            / udf_modes["opaque_batched"]["elements_per_second"], 2),
     }
-    print(f"udf axis: pure columnar="
-          f"{udf_modes['pure_columnar']['elements_per_second']:,.0f} "
-          f"opaque columnar="
-          f"{udf_modes['opaque_columnar']['elements_per_second']:,.0f}"
+    print(f"udf axis: pure batched="
+          f"{udf_modes['pure_batched']['elements_per_second']:,.0f} "
+          f"opaque batched="
+          f"{udf_modes['opaque_batched']['elements_per_second']:,.0f}"
           f" elem/s  proven-pure speedup="
-          f"{udf_axis['pure_vs_opaque_columnar']:.2f}x")
+          f"{udf_axis['pure_vs_opaque_batched']:.2f}x")
     report["udf"] = udf_axis
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -559,21 +552,19 @@ def main(out_path: str = "BENCH_throughput.json",
     return report
 
 
-#: UDF-axis arms: (callable, execution mode) per id.
-_UDF_ARMS = {"pure_columnar": (_udf_pure, True),
-             "pure_batched": (_udf_pure, False),
-             "opaque_columnar": (_udf_opaque, True)}
+#: UDF-axis arms: the callable per id (both run batched).
+_UDF_ARMS = {"pure_batched": _udf_pure, "opaque_batched": _udf_opaque}
 
 
 def _measure_udf(n_queries: int, tuples_per_sp: int, n_tuples: int,
                  repeats: int = 9) -> dict:
     """Interleaved best-of over the UDF arms.
 
-    ``pure_columnar`` vs ``pure_batched`` isolates what the fused tier
-    buys (or costs) a *proven-pure* UDF predicate; ``opaque_columnar``
-    shows the fail-closed row-stage fallback an unprovable UDF pays on
-    the same tier.  Arms interleave per repetition so they sample the
-    same thermal/load windows (see :func:`_measure_modes`).
+    ``pure_batched`` runs a *proven-pure* UDF predicate through its
+    bulk kernel; ``opaque_batched`` shows the fail-closed row-stage
+    fallback an unprovable UDF pays on the same path.  Arms interleave
+    per repetition so they sample the same thermal/load windows (see
+    :func:`_measure_modes`).
     """
     import time
 
@@ -582,14 +573,14 @@ def _measure_udf(n_queries: int, tuples_per_sp: int, n_tuples: int,
         accessible_fraction=0.6, seed=61))
     engines = {key: build_udf_dsms(n_queries, elements, fn,
                                    key.split("_")[0])
-               for key, (fn, _) in _UDF_ARMS.items()}
+               for key, fn in _UDF_ARMS.items()}
     best = {key: float("inf") for key in _UDF_ARMS}
     elements_in = {key: 0 for key in _UDF_ARMS}
     for _ in range(repeats):
-        for key, (_, columnar) in _UDF_ARMS.items():
+        for key in _UDF_ARMS:
             dsms = engines[key]
             start = time.perf_counter()
-            dsms.run(batching=True, columnar=columnar)
+            dsms.run(batching=True)
             elapsed = time.perf_counter() - start
             best[key] = min(best[key], elapsed)
             elements_in[key] = dsms.last_report.elements_in
@@ -619,11 +610,11 @@ def udf_smoke(n_tuples: int = 6_000) -> int:
     Structure first: every example plan spec must lint clean under the
     strict policy (any analyzer error fails the gate), the provable
     UDF arm must compile fully vectorized, and the opaque arm must
-    *not* (fail-closed).  Then the perf gate: a proven-pure UDF select
-    on the fused columnar tier must hold at least 0.95x the plain
-    batched engine at ``tuples_per_sp=100`` — the analyzer's proofs
-    must buy the fast path, not merely permit it.  Returns a process
-    exit code (0 ok, 1 regression).
+    *not* (fail-closed).  Then the perf gate: at ``tuples_per_sp=100``
+    the batched proven-pure UDF select must beat the batched opaque one
+    (the same predicate behind unprovable dispatch) — the analyzer's
+    proofs must buy the fast path, not merely permit it.  Returns a
+    process exit code (0 ok, 1 regression).
     """
     from pathlib import Path
 
@@ -652,71 +643,43 @@ def udf_smoke(n_tuples: int = 6_000) -> int:
     print("udf-smoke: pure arm vectorized, opaque arm row-stage (ok)")
 
     modes = _measure_udf(1, 100, n_tuples, repeats=7)
-    p_eps = modes["pure_columnar"]["elements_per_second"]
-    b_eps = modes["pure_batched"]["elements_per_second"]
-    o_eps = modes["opaque_columnar"]["elements_per_second"]
-    ratio = p_eps / b_eps if b_eps else 0.0
-    print(f"udf-smoke tuples_per_sp=100: pure columnar={p_eps:,.0f} "
-          f"pure batched={b_eps:,.0f} opaque columnar={o_eps:,.0f} "
-          f"elem/s  ratio={ratio:.2f}x")
-    if ratio < 0.95:
-        print("UDF PERF REGRESSION: proven-pure UDF select slower on "
-              "the fused columnar tier than plain batched")
+    p_eps = modes["pure_batched"]["elements_per_second"]
+    o_eps = modes["opaque_batched"]["elements_per_second"]
+    ratio = p_eps / o_eps if o_eps else 0.0
+    print(f"udf-smoke tuples_per_sp=100: pure batched={p_eps:,.0f} "
+          f"opaque batched={o_eps:,.0f} elem/s  ratio={ratio:.2f}x")
+    if p_eps <= o_eps:
+        print("UDF PERF REGRESSION: proven-pure UDF select no faster "
+              "than the opaque one")
         return 1
     print("udf-smoke OK")
     return 0
 
 
 def perf_smoke(n_tuples: int = 6_000) -> int:
-    """CI regression gate for the columnar tier (reduced workload).
+    """CI regression gate for batched execution (reduced workload).
 
-    At ``tuples_per_sp=100`` — long segment runs, the regime the fused
-    kernels exist for — columnar throughput must be at least the plain
-    batched engine's.  Returns a process exit code (0 ok, 1 regression)
-    so CI can run ``--perf-smoke`` directly.
+    At ``tuples_per_sp=100`` — long segment runs, where batched selects
+    filter through their compiled predicate kernels — batched
+    throughput must hold :data:`SEGMENT_BATCHED_MIN` times element-wise
+    with 1 and with 4 queries.  At ``tuples_per_sp=1`` with 4 queries
+    it must hold :data:`SP_DENSE_BATCHED_MIN` times element-wise.
+    Returns a process exit code (0 ok, 1 regression) so CI can run
+    ``--perf-smoke`` directly.
     """
-    modes = _measure_modes(1, 100, n_tuples, repeats=7)
-    b_eps = modes["batched"]["elements_per_second"]
-    c_eps = modes["columnar"]["elements_per_second"]
-    ratio = c_eps / b_eps if b_eps else 0.0
-    print(f"perf-smoke tuples_per_sp=100: batched={b_eps:,.0f} "
-          f"columnar={c_eps:,.0f} elem/s  ratio={ratio:.2f}x")
-    if c_eps < b_eps:
-        print("PERF REGRESSION: columnar tier slower than plain "
-              "segment-batched execution")
-        return 1
-    # The same with a shared select fanning out to 4 queries: the
-    # columnar tier is on by default, so it must not cost the default
-    # path against plain batching there (shield-only chains below the
-    # fan-out are left unfused; ratio ~1.0, hence the noise allowance).
-    fan = _measure_modes(4, 100, n_tuples, repeats=9)
-    f_ratio = (fan["columnar"]["elements_per_second"]
-               / fan["batched"]["elements_per_second"])
-    print(f"perf-smoke tuples_per_sp=100 n_queries=4: "
-          f"batched={fan['batched']['elements_per_second']:,.0f} "
-          f"columnar={fan['columnar']['elements_per_second']:,.0f}"
-          f" elem/s  ratio={f_ratio:.2f}x")
-    if f_ratio < 0.95:
-        print("PERF REGRESSION: columnar tier slower than plain "
-              "segment-batched execution below a fan-out")
-        return 1
-    # sp-dense floor: at tuples_per_sp=1 every segment is below
-    # MIN_FUSED_ROWS, so the fused tier must delegate to the native
-    # batch path instead of materializing one-row ColumnBatches.  A
-    # small noise allowance, but the historical soft regression
-    # (0.97x from per-segment columnar materialization) must not come
-    # back.
-    sparse = _measure_modes(1, 1, n_tuples, repeats=9)
-    s_ratio = (sparse["columnar"]["elements_per_second"]
-               / sparse["batched"]["elements_per_second"])
-    print(f"perf-smoke tuples_per_sp=1:   "
-          f"batched={sparse['batched']['elements_per_second']:,.0f} "
-          f"columnar={sparse['columnar']['elements_per_second']:,.0f}"
-          f" elem/s  ratio={s_ratio:.2f}x")
-    if s_ratio < 0.95:
-        print("PERF REGRESSION: columnar tier pays a per-segment "
-              "materialization tax on sp-dense streams")
-        return 1
+    for n_queries, floor in SEGMENT_BATCHED_MIN.items():
+        modes = _measure_modes(n_queries, 100, n_tuples, repeats=15)
+        ratio = (modes["batched"]["elements_per_second"]
+                 / modes["unbatched"]["elements_per_second"])
+        print(f"perf-smoke tuples_per_sp=100 n_queries={n_queries}: "
+              f"unbatched={modes['unbatched']['elements_per_second']:,.0f}"
+              f" batched={modes['batched']['elements_per_second']:,.0f}"
+              f" elem/s  ratio={ratio:.2f}x (floor {floor}x)")
+        if ratio < floor:
+            print(f"PERF REGRESSION: batched execution below {floor}x "
+                  f"element-wise at sp:tuple 1/100 with {n_queries} "
+                  "queries")
+            return 1
     # The paper's weakest point (Fig 7a, sp:tuple 1/1) with a shared
     # plan: each sp rides in the one-tuple envelope it opens and is
     # resolved once for every shield, so batching must beat
@@ -767,7 +730,7 @@ def obs_smoke(n_tuples: int = 6_000, threshold: float = 0.20) -> int:
 
     Interleaved amortized CPU-time comparison (see ``_measure_tiers``)
     of the ``off`` and ``tracing`` observability tiers at
-    ``tuples_per_sp=100`` — the fused high-throughput regime.  The
+    ``tuples_per_sp=100`` — the long-run high-throughput regime.  The
     default head-sampled tracer must cost less than ``threshold`` of
     untraced throughput — the paper-facing budget is 15%; the gate
     allows 20% for noisy CI boxes.  Returns a process exit code

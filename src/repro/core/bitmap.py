@@ -21,8 +21,7 @@ from typing import Iterable, Iterator
 
 from repro.errors import AccessControlError
 
-__all__ = ["RoleUniverse", "AbstractRoleSet", "RoleSet", "RoleBitmap",
-           "bulk_encode"]
+__all__ = ["RoleUniverse", "AbstractRoleSet", "RoleSet", "RoleBitmap"]
 
 
 class RoleUniverse:
@@ -84,35 +83,6 @@ class RoleUniverse:
         registered lazily so that every role always has a stable order.
         """
         return self.register(role)
-
-    # -- bulk mask operations (columnar tier) ------------------------------
-    def encode(self, roles: Iterable[str]) -> int:
-        """Integer bitmap of ``roles``, registering unseen roles.
-
-        The mask encoding the columnar role-bitmap column uses: one
-        bit per role, positions fixed by this universe.
-        """
-        bits = 0
-        ids = self._ids
-        for role in roles:
-            role_id = ids.get(role)
-            if role_id is None:
-                role_id = self.register(role)
-            bits |= 1 << role_id
-        return bits
-
-    def decode(self, mask: int) -> frozenset[str]:
-        """Role names encoded in ``mask`` (inverse of :meth:`encode`)."""
-        names = self._names
-        out = []
-        while mask:
-            low = mask & -mask
-            role_id = low.bit_length() - 1
-            if role_id >= len(names):
-                raise AccessControlError(f"unknown role id: {role_id}")
-            out.append(names[role_id])
-            mask ^= low
-        return frozenset(out)
 
 
 class AbstractRoleSet:
@@ -214,34 +184,6 @@ class RoleSet(AbstractRoleSet):
 
     def __repr__(self) -> str:
         return f"RoleSet({{{', '.join(sorted(self._roles))}}})"
-
-
-def bulk_encode(universe: RoleUniverse,
-                role_sets: Iterable[AbstractRoleSet]) -> list[int]:
-    """Encode many role sets as integer masks in one pass.
-
-    The per-row role-bitmap column of a
-    :class:`~repro.stream.columnar.ColumnBatch` is produced here.
-    Role sets repeat heavily across a segment (often a single shared
-    :class:`~repro.core.policy.TuplePolicy` object), so the encoding is
-    memoized by object identity first and by value second.
-    """
-    by_id: dict[int, int] = {}
-    by_value: dict[frozenset[str], int] = {}
-    out: list[int] = []
-    append = out.append
-    for role_set in role_sets:
-        key = id(role_set)
-        mask = by_id.get(key)
-        if mask is None:
-            names = role_set.names()
-            mask = by_value.get(names)
-            if mask is None:
-                mask = universe.encode(names)
-                by_value[names] = mask
-            by_id[key] = mask
-        append(mask)
-    return out
 
 
 class RoleBitmap(AbstractRoleSet):

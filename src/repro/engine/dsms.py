@@ -417,7 +417,7 @@ class DSMS:
             optimize: "OptimizeLevel | bool | str" = OptimizeLevel.NONE,
             analyze_sps: bool = True,
             batching: bool = True,
-            columnar: bool = True,
+            columnar: bool | None = None,
             shards: int | None = None) -> dict[str, QueryResult]:
         """Execute all queries over all registered sources.
 
@@ -444,19 +444,23 @@ class DSMS:
         reference path (and is what the equivalence tests compare
         against).
 
-        ``columnar`` (effective only with batching) additionally fuses
-        eligible shield/select/project chains into single columnar
-        passes over :class:`~repro.stream.columnar.ColumnBatch`
-        layouts; results, counters and audit streams again stay
-        identical, per the differential oracle.
+        ``columnar`` is deprecated and ignored (it warns with a
+        :class:`DeprecationWarning`): the fused columnar tier it
+        switched on is gone, and batched selects always filter through
+        their compiled predicate kernels.
         """
+        if columnar is not None:
+            warnings.warn("DSMS.run(columnar=...) is deprecated and "
+                          "ignored: batched execution always uses the "
+                          "compiled select kernels",
+                          DeprecationWarning, stacklevel=2)
         if shards is not None:
             from repro.engine.sharded import run_sharded
 
             return run_sharded(self, n_shards=shards,
                                optimize=optimize,
                                analyze_sps=analyze_sps,
-                               batching=batching, columnar=columnar)
+                               batching=batching)
         plan, sinks = self.build_plan(optimize=optimize)
         sources = (self._analyzed_sources(run_breaks=batching)
                    if analyze_sps else self.catalog.sources())
@@ -476,7 +480,6 @@ class DSMS:
         executor = Executor(plan, sources,
                             tracer=self.observability.tracer,
                             batching=batching,
-                            columnar=columnar,
                             prebatched=prebatched,
                             instruments=self.observability.instruments)
         self.last_report = executor.run()

@@ -20,7 +20,9 @@ Two execution modes share that delivery discipline:
   an operator gets a whole segment in one dispatch.  A Security Shield
   adopts the envelope's sp-batch (resolved once per envelope for all
   shields it reaches) and passes or drops a whole uniform segment in
-  O(1); select/project filter and map runs in single comprehensions.
+  O(1); a select filters a run through its compiled predicate
+  (:mod:`repro.operators.compiler`: one bulk kernel per pure conjunct)
+  and a project maps it in one comprehension.
   Operators without a native batch path fall back to the per-element
   loop (head sps first) automatically, so results are identical in
   both modes.  Envelope sps count in ``ExecutionReport.sps_in`` and
@@ -63,8 +65,6 @@ import time
 from itertools import repeat
 from typing import Iterable
 
-from repro.engine import fusion as _fusion
-from repro.engine.fusion import build_fused_chains
 from repro.engine.plan import PhysicalPlan, PlanNode
 from repro.observability.provenance import Tracer
 from repro.observability.stats import StageStats, aggregate_stages
@@ -134,7 +134,7 @@ class Executor:
 
     def __init__(self, plan: PhysicalPlan, sources: Iterable[StreamSource],
                  *, tracer: TraceSink | None = None,
-                 batching: bool = True, columnar: bool = True,
+                 batching: bool = True,
                  prebatched: bool = False, instruments=None):
         self.plan = plan
         self.sources = list(sources)
@@ -145,9 +145,6 @@ class Executor:
             self.tracer if isinstance(self.tracer, Tracer) else None)
         #: Segment-batched execution (see module docstring).
         self.batching = batching
-        #: Columnar tier: fused shield/select/project chains executed
-        #: over ColumnBatch layouts (effective only with batching).
-        self.columnar = columnar
         #: Sources already yield coalesced runs (TupleBatch envelopes)
         #: — skip the executor's own coalescing layer.
         self.prebatched = prebatched
@@ -158,17 +155,6 @@ class Executor:
         #: when unaudited); see "Audit order" in the module docstring.
         self._audit = next((node.operator.audit for node in plan.nodes
                             if node.operator.audit is not None), None)
-        #: Fused columnar chains, keyed by head node id (empty when the
-        #: columnar tier is off, the plan is audited — a fused chain's
-        #: output tuples cannot carry order keys — or no chain
-        #: qualifies).
-        self._fused = (build_fused_chains(plan)
-                       if batching and columnar and self._audit is None
-                       else {})
-        #: Snapshot of the fusion row threshold (read from the module
-        #: at construction so verification harnesses can lower it to
-        #: force the kernels onto short segments).
-        self._min_fused_rows = _fusion.MIN_FUSED_ROWS
 
     def run(self) -> ExecutionReport:
         """Consume all sources to exhaustion, then flush the plan."""
@@ -320,35 +306,24 @@ class Executor:
         append = stack.append
         pop = stack.pop
         audit = self._audit
-        fused = self._fused
-        min_fused_rows = self._min_fused_rows
         while stack:
             node, element, port, key = pop()
             if key is not None:
                 ords, path = key
                 audit.key = key
             if type(element) is TupleBatch:
-                chain = (fused.get(node.node_id)
-                         if fused and len(element.tuples) >= min_fused_rows
-                         else None)
-                if chain is not None:
-                    # Columnar tier: the whole fused chain runs as one
-                    # pass; outputs continue downstream of its tail.
-                    outputs = chain.run(element)
-                    node = chain.tail
-                else:
-                    operator = node.operator
-                    if key is not None and not operator.audit_batch_safe:
-                        # Per element, head sps first; an sp takes the
-                        # ordinal of the tuple its arrival precedes.
-                        tuples = element.tuples
-                        for index in range(len(tuples) - 1, -1, -1):
-                            append((node, tuples[index], port,
-                                    (ords[index], path)))
-                        for sp in reversed(element.sps):
-                            append((node, sp, port, (ords[0], path)))
-                        continue
-                    outputs = operator.process_batch(element, port)
+                operator = node.operator
+                if key is not None and not operator.audit_batch_safe:
+                    # Per element, head sps first; an sp takes the
+                    # ordinal of the tuple its arrival precedes.
+                    tuples = element.tuples
+                    for index in range(len(tuples) - 1, -1, -1):
+                        append((node, tuples[index], port,
+                                (ords[index], path)))
+                    for sp in reversed(element.sps):
+                        append((node, sp, port, (ords[0], path)))
+                    continue
+                outputs = operator.process_batch(element, port)
             else:
                 outputs = node.operator.process(element, port)
             if not outputs:
@@ -383,8 +358,6 @@ class Executor:
         append = stack.append
         pop = stack.pop
         audit = self._audit
-        fused = self._fused
-        min_fused_rows = self._min_fused_rows
         clock = time.perf_counter_ns
         while stack:
             node, element, port, parent, key = pop()
@@ -393,36 +366,23 @@ class Executor:
                 audit.key = key
             if type(element) is TupleBatch:
                 rows = len(element.tuples)
-                chain = (fused.get(node.node_id)
-                         if fused and rows >= min_fused_rows else None)
-                if chain is not None:
-                    begun = clock()
-                    outputs = chain.run(element)
-                    span = tracer.op_span(
-                        "op.fused", parent, clock() - begun,
-                        operators=[op.name for op in chain.operators],
-                        rows=rows)
-                    node = chain.tail
-                else:
-                    operator = node.operator
-                    if key is not None and not operator.audit_batch_safe:
-                        tuples = element.tuples
-                        for index in range(rows - 1, -1, -1):
-                            append((node, tuples[index], port, parent,
-                                    (ords[index], path)))
-                        for sp in reversed(element.sps):
-                            append((node, sp, port, parent,
-                                    (ords[0], path)))
-                        continue
-                    begun = clock()
-                    outputs = operator.process_batch(element, port)
-                    dur_ns = clock() - begun
-                    span = tracer.op_span("op.process", parent, dur_ns,
-                                          operator=operator.name,
-                                          rows=rows)
-                    if operator._m_latency is not None:
-                        operator._m_latency.exemplar(
-                            dur_ns / rows * 1e-9, tracer.trace_id)
+                operator = node.operator
+                if key is not None and not operator.audit_batch_safe:
+                    tuples = element.tuples
+                    for index in range(rows - 1, -1, -1):
+                        append((node, tuples[index], port, parent,
+                                (ords[index], path)))
+                    for sp in reversed(element.sps):
+                        append((node, sp, port, parent, (ords[0], path)))
+                    continue
+                begun = clock()
+                outputs = operator.process_batch(element, port)
+                dur_ns = clock() - begun
+                span = tracer.op_span("op.process", parent, dur_ns,
+                                      operator=operator.name, rows=rows)
+                if operator._m_latency is not None:
+                    operator._m_latency.exemplar(dur_ns / rows * 1e-9,
+                                                 tracer.trace_id)
             else:
                 operator = node.operator
                 begun = clock()

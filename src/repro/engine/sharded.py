@@ -53,7 +53,6 @@ from repro.algebra.expressions import (LogicalExpr, ProjectExpr, ScanExpr,
 from repro.core.analyzer import SPAnalyzer
 from repro.core.bitmap import RoleSet, RoleUniverse
 from repro.core.punctuation import SecurityPunctuation
-from repro.engine import fusion as _fusion
 from repro.engine.api import OptimizeLevel
 from repro.engine.executor import ExecutionReport, Executor
 from repro.engine.partition import chunk_runs, merge_chunk_runs, \
@@ -208,8 +207,6 @@ class ShardTask:
     local_queries: "list[tuple[str, LogicalExpr, frozenset[str]]]"
     server_sps: "tuple[SecurityPunctuation, ...]" = ()
     batching: bool = True
-    columnar: bool = True
-    min_fused_rows: int = _fusion.MIN_FUSED_ROWS
     #: Capacity of the worker's audit log — the coordinator's, so a
     #: worker never ships more events than the coordinator can hold
     #: (``0``: no audit log).
@@ -265,12 +262,11 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
 
     Mirrors the single-process run: a fresh SP Analyzer (with the
     server policies applied), a hash-consed physical plan over the
-    shard's units and local queries, the segment-batched/columnar
-    executor tiers, and — for local queries — the same
+    shard's units and local queries, the element-wise or
+    segment-batched executor, and — for local queries — the same
     ``delivery:<name>`` shield the DSMS facade installs.
     """
     cpu_start = time.process_time()
-    _fusion.MIN_FUSED_ROWS = task.min_fused_rows
     universe = RoleUniverse()
     analyzer = SPAnalyzer(universe)
     for sp in task.server_sps:
@@ -334,7 +330,6 @@ def execute_shard_task(task: ShardTask) -> ShardResult:
 
     executor = Executor(plan, sources, tracer=trace_sink,
                         batching=task.batching,
-                        columnar=task.columnar,
                         prebatched=prebatched)
     report = executor.run()
 
@@ -484,7 +479,6 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                 OptimizeLevel.NONE,
                 analyze_sps: bool = True,
                 batching: bool = True,
-                columnar: bool = True,
                 timeout: float = DEFAULT_TIMEOUT,
                 faults: "dict[int, str] | None" = None,
                 ) -> "dict[str, QueryResult]":
@@ -571,8 +565,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                 analyze=analyze_map, units=units,
                 local_queries=local_queries,
                 server_sps=dsms.analyzer.server_sps,
-                batching=batching, columnar=columnar,
-                min_fused_rows=_fusion.MIN_FUSED_ROWS,
+                batching=batching,
                 audit_capacity=(audit_log.capacity
                                 if audit_log is not None else 0),
                 tracing=tracing_on,
@@ -642,8 +635,7 @@ def run_sharded(dsms: "DSMS", *, n_shards: int,
                                   auto_shield=False)
         suffix_results = suffix.run(optimize=OptimizeLevel.NONE,
                                     analyze_sps=False,
-                                    batching=batching,
-                                    columnar=columnar)
+                                    batching=batching)
         suffix_report = suffix.last_report
     suffix_seconds = time.process_time() - serial_start
 

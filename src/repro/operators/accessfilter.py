@@ -77,14 +77,6 @@ class AccessFilter(UnaryOperator):
         out.append(element)
         return out
 
-    def take_head(self, batch: TupleBatch) -> None:
-        """Consume envelope ``batch``'s head sps, as :meth:`_process`
-        does each sp (the fused columnar tier calls this too)."""
-        self.tracker.observe_envelope(batch)
-        if not self.strip_sps:
-            held = self._held_sps
-            self._held_sps = [*held, *batch.sps] if held else batch.sps
-
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
         """Batch fast path: resolve and check the run in one loop.
@@ -94,7 +86,11 @@ class AccessFilter(UnaryOperator):
         """
         tracker = self.tracker
         if batch.sps:
-            self.take_head(batch)
+            tracker.observe_envelope(batch)
+            if not self.strip_sps:
+                held = self._held_sps
+                self._held_sps = ([*held, *batch.sps] if held
+                                  else batch.sps)
         predicate = self.predicate
         tuples = batch.tuples
         self.stats.comparisons += len(tuples)

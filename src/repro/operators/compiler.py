@@ -1,12 +1,15 @@
-"""One-time predicate compilation for the columnar hot path.
+"""One-time predicate compilation for batched selects.
 
 The element-wise engine evaluates a :class:`~repro.operators.conditions.Condition`
 by method dispatch per tuple (``Comparison.__call__`` → dict lookup →
-operator call).  For a fused columnar chain that dispatch dominates; this
-module lowers a condition **once per query** into a small pipeline of
-*mask kernels*, each mapping a :class:`~repro.stream.columnar.ColumnBatch`
-(plus the running row mask) to a new mask with one bulk list
-comprehension — no per-tuple ``Condition`` dispatch.
+operator call).  On a segment-batched run that dispatch dominates; this
+module lowers a condition **once per select** (on its first batch) into
+a small pipeline of *mask kernels*, each mapping a
+:class:`~repro.stream.columnar.ColumnBatch` (plus the running row mask)
+to a new mask with one bulk list comprehension — no per-tuple
+``Condition`` dispatch.  Batched selects
+(:meth:`repro.operators.select.Select._process_batch`) filter long
+runs through it.
 
 Semantics are bit-for-bit those of the element-wise path:
 
@@ -19,10 +22,6 @@ Semantics are bit-for-bit those of the element-wise path:
   ``And`` short-circuit would produce;
 * pure kernels may evaluate a conjunct on rows a short-circuit would
   have skipped — unobservable by definition of purity.
-
-:func:`compile_pattern` is the analogous lowering for punctuation
-patterns — the paper's ``eval(N, e)`` vectorized over a whole column —
-used by the fused shield's non-uniform policy resolver.
 """
 
 from __future__ import annotations
@@ -32,21 +31,15 @@ from itertools import repeat as _repeat
 from typing import Callable, cast
 
 from repro.analysis.rewrites import Proof
-from repro.core.patterns import (CompositePattern, LiteralPattern, Pattern,
-                                 RangePattern, SetPattern, WildcardPattern)
 from repro.operators.conditions import (And, Comparison, Condition,
                                         FuncCondition, Not, Or,
                                         TrueCondition)
 from repro.stream.columnar import MISSING, ColumnBatch
 
-__all__ = ["CompiledPredicate", "compile_condition", "compile_pattern",
-           "VectorKernel", "PatternKernel"]
+__all__ = ["CompiledPredicate", "compile_condition", "VectorKernel"]
 
 #: A compiled pure conjunct: one bulk pass over a batch's columns.
 VectorKernel = Callable[[ColumnBatch], "list[object]"]
-
-#: A compiled pattern: per-row match flags for one value column.
-PatternKernel = Callable[["list[object]"], "list[bool]"]
 
 
 def _comparison_kernel(cond: Comparison) -> VectorKernel:
@@ -176,7 +169,7 @@ def _vector(cond: Condition) -> VectorKernel | None:
 
 
 def _udf_kernel(cond: FuncCondition) -> VectorKernel:
-    """One fused pass of a proven UDF over a batch (no ``Condition``
+    """One pass of a proven UDF over a batch (no ``Condition``
     dispatch, no mask bookkeeping between conjuncts)."""
     fn = cond.fn
     return lambda cb: [bool(fn(item)) for item in cb.tuples]
@@ -250,33 +243,6 @@ class CompiledPredicate:
 
 def compile_condition(condition: Condition) -> CompiledPredicate:
     """Lower ``condition`` into a :class:`CompiledPredicate` (once per
-    query — the result is reusable across every batch)."""
+    select — the result is reusable across every batch)."""
     return CompiledPredicate(condition)
 
-
-def compile_pattern(pattern: Pattern) -> PatternKernel:
-    """Lower a punctuation pattern to a bulk column matcher.
-
-    The vectorized ``eval(N, e)``: given a value column, return per-row
-    match flags.  Literal and set patterns inline their
-    string-insensitive membership test; other shapes bind
-    ``pattern.matches`` once and map it, which still removes the
-    per-row attribute lookup and method dispatch.
-    """
-    if isinstance(pattern, WildcardPattern):
-        return lambda column: [True] * len(column)
-    if isinstance(pattern, LiteralPattern):
-        value = pattern.value
-        text = pattern.spec()
-        return lambda column: [v == value or str(v) == text
-                               for v in column]
-    if isinstance(pattern, SetPattern):
-        values = pattern.values
-        texts = frozenset(str(v) for v in values)
-        return lambda column: [v in values or str(v) in texts
-                               for v in column]
-    if isinstance(pattern, (RangePattern, CompositePattern)):
-        matches = pattern.matches
-        return lambda column: [matches(v) for v in column]
-    matches = pattern.matches
-    return lambda column: [matches(v) for v in column]

@@ -11,16 +11,29 @@ them to protect).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.punctuation import SecurityPunctuation
 from repro.operators.base import UnaryOperator
 from repro.operators.conditions import Condition, FuncCondition
 from repro.stream.batch import TupleBatch, forward
+from repro.stream.columnar import ColumnBatch
 from repro.stream.element import StreamElement
 from repro.stream.tuples import DataTuple
 
+if TYPE_CHECKING:
+    from repro.operators.compiler import CompiledPredicate
+
 __all__ = ["Select"]
+
+#: Runs shorter than this skip the compiled predicate and call the
+#: condition per tuple: below it the kernels' fixed cost (column
+#: extraction, mask assembly) outweighs their per-row saving — a
+#: single comparison broke even at ~10 rows on a 2-vCPU Xeon with
+#: Python 3.11, and sp:tuple 1/1 feeds one-row runs.  Both paths keep
+#: the same rows and make the same calls to impure conjuncts, so
+#: results and counters do not depend on it.
+KERNEL_MIN_ROWS = 10
 
 
 class Select(UnaryOperator):
@@ -33,6 +46,9 @@ class Select(UnaryOperator):
             # effect analyzer; unverifiable ones warn at construction.
             condition = FuncCondition.wrap(condition)
         self.condition: Condition = condition
+        #: The condition lowered to mask kernels, built on the first
+        #: batch (element-wise runs never pay for it).
+        self._predicate: "CompiledPredicate | None" = None
         #: Sps of the current segment not yet propagated.
         self._held_sps: list[SecurityPunctuation] = []
         #: Whether the previous element was a tuple (marks sp-batch /
@@ -69,7 +85,9 @@ class Select(UnaryOperator):
 
     def _process_batch(self, batch: TupleBatch,
                        port: int) -> list[StreamElement]:
-        """Batch fast path: filter the whole run in one comprehension.
+        """Batch fast path: filter the whole run in one pass — through
+        the compiled predicate (:mod:`repro.operators.compiler`) from
+        :data:`KERNEL_MIN_ROWS` rows up, in one comprehension below.
 
         The envelope's head sps join the held sps first (a previous
         segment that passed nothing loses its sps, as element-wise).
@@ -88,9 +106,21 @@ class Select(UnaryOperator):
                 held = [*held, *sps]
         self._after_tuple = True
         tuples = batch.tuples
-        condition = self.condition
         self.stats.comparisons += len(tuples)
-        passing = [item for item in tuples if condition(item)]
+        if len(tuples) < KERNEL_MIN_ROWS:
+            condition = self.condition
+            passing = [item for item in tuples if condition(item)]
+        else:
+            predicate = self._predicate
+            if predicate is None:
+                # Deferred: the compiler's import of repro.analysis
+                # leads back to this module.
+                from repro.operators.compiler import compile_condition
+
+                predicate = self._predicate = compile_condition(
+                    self.condition)
+            mask = predicate.mask(ColumnBatch(tuples))
+            passing = [item for item, keep in zip(tuples, mask) if keep]
         self.tuples_dropped += len(tuples) - len(passing)
         if not passing:
             if held is not self._held_sps:

@@ -279,12 +279,6 @@ class SecurityShield(UnaryOperator):
         if self._m_prop is not None:
             self._observe_segment_boundary()
 
-    def take_head(self, batch: TupleBatch) -> None:
-        """Consume envelope ``batch``'s head sps, as :meth:`_process`
-        does each sp (the fused columnar tier calls this too)."""
-        self.tracker.observe_envelope(batch)
-        self._sp_arrived()
-
     def _observe_segment_boundary(self) -> None:
         """Metrics at an sp arrival: close the previous segment's size
         observation and start the propagation-lag clock."""
@@ -343,7 +337,8 @@ class SecurityShield(UnaryOperator):
         decision loop.
         """
         if batch.sps:
-            self.take_head(batch)
+            self.tracker.observe_envelope(batch)
+            self._sp_arrived()
         tuples = batch.tuples
         if self._m_seg is not None:
             self._segment_tuples += len(tuples)

@@ -111,7 +111,7 @@ def _in_region(item: DataTuple) -> bool:
 
 
 def _fast_mover(item: DataTuple) -> bool:
-    """Speed above the columnar-tier benchmark threshold."""
+    """Speed above 60 (the fast-mover trip-wire)."""
     speed = item.get("speed")
     return speed is not None and speed > 60.0
 

@@ -1,37 +1,22 @@
-"""Columnar segment runs: the second physical tuple representation.
+"""Column views of a tuple run, for the compiled predicate kernels.
 
-The segment-batched engine (:class:`~repro.stream.batch.TupleBatch`)
-amortizes *decisions* over a run but still touches every tuple's
-attribute dict per operator.  :class:`ColumnBatch` is the columnar
-counterpart: the same run of tuples, with per-attribute value arrays
-extracted lazily on first access and reused across all operators of a
-fused chain (shield → select → project), plus an optional resolved
-per-row policy column with its role-bitmap encoding from
-:mod:`repro.core.bitmap`.
-
-A :class:`ColumnBatch` is an execution-layer representation only —
-exactly like :class:`~repro.stream.batch.TupleBatch` it never crosses a
-security punctuation, is immutable by convention, and converts to/from
-``TupleBatch`` losslessly at fallback boundaries (order, attribute
-values — including attributes explicitly set to ``None`` — and the
-policy column all survive the round trip).
+A batched Select filters each run through its compiled predicate
+(:mod:`repro.operators.compiler`), whose kernels read one attribute
+column at a time.  :class:`ColumnBatch` is that view: the run's tuples
+plus per-attribute value lists, extracted lazily on first access and
+shared by every conjunct of the predicate.  It is an execution detail
+of one operator call and never leaves it.
 
 Absent attributes are distinguished from present-``None`` values by the
-:data:`MISSING` sentinel, mirroring ``DataTuple.values`` exactly:
-``Comparison`` treats both as a failed match, but projection must
-preserve a present ``None`` while dropping an absent attribute.
+:data:`MISSING` sentinel, mirroring ``DataTuple.values`` exactly;
+``Comparison`` treats both as a failed match.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Sequence
 
-from repro.stream.batch import TupleBatch
 from repro.stream.tuples import DataTuple
-
-if TYPE_CHECKING:
-    from repro.core.bitmap import RoleUniverse
-    from repro.core.policy import TuplePolicy
 
 __all__ = ["MISSING", "ColumnBatch"]
 
@@ -53,62 +38,23 @@ MISSING = _Missing()
 
 
 class ColumnBatch:
-    """A segment run in columnar layout.
+    """A tuple run with lazily extracted, cached attribute columns."""
 
-    ``tuples`` remains the row-major source of truth (so conversion
-    back to :class:`TupleBatch` is free and lossless); per-attribute
-    columns are materialized lazily and cached, and survive
-    :meth:`compress` so a fused chain never re-extracts a column it
-    already paid for.
-    """
+    __slots__ = ("tuples", "_columns")
 
-    __slots__ = ("tuples", "policies", "_columns")
-
-    def __init__(self, tuples: Sequence[DataTuple], *,
-                 policies: "Sequence[TuplePolicy] | None" = None):
+    def __init__(self, tuples: Sequence[DataTuple]):
         self.tuples: list[DataTuple] = list(tuples) \
             if not isinstance(tuples, list) else tuples
-        #: Optional resolved per-row policy column (set by the fused
-        #: shield's non-uniform resolver; ``None`` = not resolved).
-        self.policies: "list[TuplePolicy] | None" = (
-            list(policies) if policies is not None else None)
         self._columns: dict[str, list[object]] = {}
 
-    # -- conversion --------------------------------------------------------
-    @classmethod
-    def from_batch(cls, batch: TupleBatch) -> "ColumnBatch":
-        """Columnar view of a row-major run (no copying of tuples)."""
-        return cls(batch.tuples)
-
-    def to_batch(self) -> TupleBatch:
-        """Row-major envelope of this run (the fallback boundary)."""
-        return TupleBatch(self.tuples)
-
-    # -- basics ------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.tuples)
 
-    def __iter__(self) -> Iterator[DataTuple]:
-        return iter(self.tuples)
-
-    @property
-    def ts(self) -> float:
-        """Timestamp of the last tuple (the run's progress mark)."""
-        return self.tuples[-1].ts
-
-    def attributes(self) -> frozenset[str]:
-        """Union of attribute names present in any row."""
-        out: set[str] = set()
-        for item in self.tuples:
-            out.update(item.values)
-        return frozenset(out)
-
-    # -- columns -----------------------------------------------------------
     def column(self, attribute: str) -> list[object]:
         """Per-row values of ``attribute`` (:data:`MISSING` if absent).
 
-        Extracted once per attribute and cached; compiled predicate
-        kernels and the projection kernel share the cache.
+        Extracted once per attribute and cached, so conjuncts reading
+        the same attribute share one extraction.
         """
         cached = self._columns.get(attribute)
         if cached is not None:
@@ -124,67 +70,3 @@ class ColumnBatch:
                       for item in self.tuples]
         self._columns[attribute] = column
         return column
-
-    # -- mask operations ---------------------------------------------------
-    def compress(self, mask: Sequence[object]) -> "ColumnBatch":
-        """Rows where ``mask`` is truthy, carrying cached columns along."""
-        tuples = self.tuples
-        kept = [item for item, keep in zip(tuples, mask) if keep]
-        out = ColumnBatch(kept)
-        for attribute, column in self._columns.items():
-            out._columns[attribute] = [
-                value for value, keep in zip(column, mask) if keep]
-        if self.policies is not None:
-            out.policies = [policy for policy, keep
-                            in zip(self.policies, mask) if keep]
-        return out
-
-    def project(self, attributes: Iterable[str]) -> "ColumnBatch":
-        """Rows restricted to ``attributes`` (π over the whole run).
-
-        Result rows are built without re-copying the value dicts twice
-        (the ``DataTuple`` constructor's defensive copy is bypassed;
-        the fresh comprehension dict is already private).  Cached
-        columns of retained attributes carry over.
-        """
-        attributes = tuple(attributes)
-        new_tuple = DataTuple.__new__
-        projected: list[DataTuple] = []
-        append = projected.append
-        for item in self.tuples:
-            values = item.values
-            row: DataTuple = new_tuple(DataTuple)
-            row.sid = item.sid
-            row.tid = item.tid
-            row.values = {a: values[a] for a in attributes if a in values}
-            row.ts = item.ts
-            append(row)
-        out = ColumnBatch(projected, policies=self.policies)
-        columns = self._columns
-        for attribute in attributes:
-            cached = columns.get(attribute)
-            if cached is not None:
-                out._columns[attribute] = cached
-        return out
-
-    # -- policy column -----------------------------------------------------
-    def role_masks(self, universe: "RoleUniverse") -> list[int]:
-        """Role-bitmap column: one integer mask per row.
-
-        Requires the resolved policy column; see
-        :func:`repro.core.bitmap.bulk_encode` for the encoding.
-        """
-        if self.policies is None:
-            raise ValueError("ColumnBatch has no resolved policy column")
-        from repro.core.bitmap import bulk_encode
-
-        return bulk_encode(universe,
-                           [policy.roles for policy in self.policies])
-
-    def __repr__(self) -> str:
-        tuples = self.tuples
-        if not tuples:
-            return "ColumnBatch(empty)"
-        return (f"ColumnBatch(n={len(tuples)}, "
-                f"columns={sorted(self._columns)}, "
-                f"ts={tuples[0].ts}..{tuples[-1].ts})")

@@ -70,6 +70,18 @@ class TestOptimizeLevelCoercion:
             warnings.simplefilter("error")
             dsms.run(optimize=OptimizeLevel.PER_QUERY)
 
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_dsms_run_columnar_warns_and_is_ignored(self, columnar):
+        dsms = DSMS()
+        dsms.register_stream(SCHEMA, [
+            SecurityPunctuation.grant(["D"], 0.0, provider="p"),
+            DataTuple("hr", 1, {"patient": 1, "bpm": 70}, 1.0),
+        ])
+        dsms.register_query("q", ScanExpr("hr"), roles={"D"})
+        with pytest.warns(DeprecationWarning, match="columnar"):
+            results = dsms.run(columnar=columnar)
+        assert results["q"].elements == dsms.run()["q"].elements
+
 
 class TestShieldsView:
     def test_unknown_query_raises(self):

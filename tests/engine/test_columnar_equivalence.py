@@ -1,65 +1,73 @@
-"""Columnar (fused) vs batched vs element-wise execution equivalence.
+"""Batched Select's column kernels: batched vs element-wise vs oracle.
 
-The columnar tier extends the segment-batched engine with fused
-shield/select/project chains over :class:`ColumnBatch` layouts.  The
-equivalence contract is the same one ``test_batch_equivalence``
-enforces between element-wise and batched execution — identical
-ordered result elements, per-stage counter totals, security metric
-series — now across all three modes, with the fusion row threshold
-forced to 1 so the columnar kernels actually execute on the short
-segments these shapes use.
-
-Also covers fusion *detection*: which plan prefixes qualify, and which
-are broken by fan-out, audit, or non-fusable operators.
+A batched :class:`~repro.operators.select.Select` filters every run
+through its compiled predicate (:mod:`repro.operators.compiler`), whose
+kernels read the run as :class:`~repro.stream.columnar.ColumnBatch`
+columns.  These plan and stream shapes put those kernels beside
+non-uniform shields, projects, opaque UDF conjuncts and a shared-plan
+fan-out.  Each batched run must match the element-wise run under the
+full equivalence contract of ``test_batch_equivalence``, and both must
+deliver exactly what the reference oracle (:mod:`repro.verify.oracle`)
+delivers.  The kernels' run-length cutover is lowered to 1 so they run
+on the short segments these shapes use, except where a test straddles
+the real cutover.
 """
 
 import pytest
 
 from repro.algebra.expressions import ScanExpr
 from repro.core.analyzer import SPAnalyzer
-from repro.engine import fusion
+from repro.core.punctuation import SecurityPunctuation
 from repro.engine.dsms import DSMS
-from repro.engine.fusion import FusedChain, build_fused_chains
-from repro.engine.plan import PhysicalPlan
-from repro.observability import Observability
-from repro.operators.conditions import Comparison, FuncCondition
-from repro.operators.project import Project
-from repro.operators.select import Select
-from repro.operators.shield import SecurityShield
-from repro.operators.sink import CollectingSink
+from repro.operators import select as select_module
+from repro.operators.conditions import And, Comparison, FuncCondition
 from repro.stream.batch import TupleBatch
-from repro.workloads.synthetic import SYNTH_SCHEMA, punctuated_stream
+from repro.stream.tuples import DataTuple
+from repro.verify.differ import _decode_sink, diff_delivered
+from repro.verify.oracle import run_oracle
+from repro.workloads.synthetic import SYNTH_SCHEMA
 
 from tests.engine.test_batch_equivalence import (
     SCHEMA, assert_equivalent, empty_segment_stream, held_sp_stream,
-    incremental_head_stream, multi_sp_stream, superseded_batch_stream,
-    tid_scoped_singleton_stream, tuple_scoped_stream, uniform_stream)
+    incremental_head_stream, multi_sp_stream, run_both,
+    superseded_batch_stream, tid_scoped_singleton_stream,
+    tuple_scoped_stream, uniform_stream)
 
 
 @pytest.fixture(autouse=True)
-def force_fusion(monkeypatch):
-    """Engage the columnar kernels regardless of segment length."""
-    monkeypatch.setattr(fusion, "MIN_FUSED_ROWS", 1)
+def force_kernels(monkeypatch):
+    """Run the column kernels regardless of run length."""
+    monkeypatch.setattr(select_module, "KERNEL_MIN_ROWS", 1)
 
 
-def run_three(make_dsms, *, observability: bool = True):
-    """Run a fresh DSMS element-wise, batched and columnar."""
-    outcomes = {}
-    for mode, batching, columnar in (("elementwise", False, False),
-                                     ("batched", True, False),
-                                     ("columnar", True, True)):
-        dsms = make_dsms(
-            Observability.in_memory() if observability
-            else Observability.disabled())
-        results = dsms.run(batching=batching, columnar=columnar)
-        outcomes[mode] = (results, dsms)
-    return outcomes
+def scan(stream):
+    return {"op": "scan", "stream": stream}
 
 
-def assert_all_equivalent(make_dsms, *, observability: bool = True):
-    outcomes = run_three(make_dsms, observability=observability)
-    assert_equivalent(outcomes["elementwise"], outcomes["batched"])
-    assert_equivalent(outcomes["elementwise"], outcomes["columnar"])
+def select(child, attribute, op, value):
+    return {"op": "select", "input": child,
+            "condition": {"attribute": attribute, "op": op,
+                          "value": value}}
+
+
+def assert_all_equivalent(make_dsms, streams, queries):
+    """Element-wise ≡ batched (observability on and off), and both
+    deliver the oracle's multiset for each query of ``queries``
+    (oracle plan specs, ``{name: {"roles": [...], "plan": spec}}``;
+    ``None`` skips the oracle)."""
+    oracle = run_oracle(streams, queries) if queries is not None else None
+    for observability in (True, False):
+        outcomes = run_both(make_dsms, observability=observability)
+        assert_equivalent(*outcomes)
+        if oracle is None:
+            continue
+        for results, _ in outcomes:
+            assert results.keys() == queries.keys()
+            for name in queries:
+                detail = diff_delivered(
+                    oracle.delivered[name],
+                    _decode_sink(results[name].elements))
+                assert detail is None, f"{name}: {detail}"
 
 
 # -- execution equivalence ---------------------------------------------------
@@ -77,8 +85,10 @@ def test_select_shield_uniform(seed, tuples_per_sp):
             roles={"q_role"})
         return dsms
 
-    assert_all_equivalent(make)
-    assert_all_equivalent(make, observability=False)
+    assert_all_equivalent(
+        make, {"synthetic": elements},
+        {"q": {"roles": ["q_role"],
+               "plan": select(scan("synthetic"), "x", ">", 400.0)}})
 
 
 _EDGE_STREAMS = (tuple_scoped_stream, held_sp_stream, empty_segment_stream,
@@ -91,13 +101,14 @@ _EDGE_STREAMS = (tuple_scoped_stream, held_sp_stream, empty_segment_stream,
     *(pytest.param(b, True, id=f"{b.__name__}-select-fronted")
       for b in _EDGE_STREAMS)])
 def test_shield_non_uniform_and_edges(stream_builder, fronted):
-    """``select-fronted`` puts a pass-all select ahead of the shields so
-    the chain fuses and the shield kernels run (a shields-only chain
-    takes the plain batched path)."""
+    """Non-uniform and edge-case segments at the shields, bare and
+    with a pass-all select (column kernels, held sps) in front."""
     elements = stream_builder()
     expr = ScanExpr("s1")
+    plan = scan("s1")
     if fronted:
         expr = expr.select(Comparison("v", ">=", 0.0))
+        plan = select(plan, "v", ">=", 0.0)
 
     def make(observability):
         dsms = DSMS(observability=observability)
@@ -105,12 +116,14 @@ def test_shield_non_uniform_and_edges(stream_builder, fronted):
         dsms.register_query("q", expr, roles={"D"})
         return dsms
 
-    assert_all_equivalent(make)
-    assert_all_equivalent(make, observability=False)
+    # The oracle does not model incremental (add/retract) sps.
+    queries = (None if stream_builder is incremental_head_stream
+               else {"q": {"roles": ["D"], "plan": plan}})
+    assert_all_equivalent(make, {"s1": elements}, queries)
 
 
 def test_select_project_shield_chain():
-    """A 3-deep fused chain (σ → π → delivery ψ) with dirty rows."""
+    """σ → π → delivery ψ with dirty rows."""
     elements = uniform_stream(3, 8, n_tuples=160)
 
     def make(observability):
@@ -122,12 +135,14 @@ def test_select_project_shield_chain():
         dsms.register_query("q", expr, roles={"q_role"})
         return dsms
 
-    assert_all_equivalent(make)
-    assert_all_equivalent(make, observability=False)
+    plan = {"op": "project", "attributes": ["object_id", "x"],
+            "input": select(scan("synthetic"), "x", ">", 200.0)}
+    assert_all_equivalent(make, {"synthetic": elements},
+                          {"q": {"roles": ["q_role"], "plan": plan}})
 
 
 def test_opaque_condition_chain():
-    """Opaque FuncCondition conjunct: call-order-preserving row stage."""
+    """Opaque FuncCondition: the compiled predicate's row stage."""
     elements = uniform_stream(5, 10, n_tuples=120)
 
     def make(observability):
@@ -138,12 +153,16 @@ def test_opaque_condition_chain():
                             roles={"q_role"})
         return dsms
 
-    assert_all_equivalent(make)
-    assert_all_equivalent(make, observability=False)
+    # The oracle has no mirror of an ad-hoc callable; the comparison
+    # it computes is the same predicate.
+    assert_all_equivalent(
+        make, {"synthetic": elements},
+        {"q": {"roles": ["q_role"],
+               "plan": select(scan("synthetic"), "x", ">", 300.0)}})
 
 
 def test_multi_query_shared_plan_fanout():
-    """Fan-out from a shared subplan: fusion must stop at the fork."""
+    """One shared select fanning out to three query shields."""
     elements = uniform_stream(7, 10, n_tuples=150)
 
     def make(observability):
@@ -155,17 +174,31 @@ def test_multi_query_shared_plan_fanout():
                                 roles={f"r{index + 1}", "q_role"})
         return dsms
 
-    assert_all_equivalent(make)
-    assert_all_equivalent(make, observability=False)
+    plan = select(scan("synthetic"), "x", ">", 200.0)
+    assert_all_equivalent(
+        make, {"synthetic": elements},
+        {f"q{index}": {"roles": [f"r{index + 1}", "q_role"], "plan": plan}
+         for index in range(3)})
 
 
-def test_production_threshold_equivalence():
-    """Mixed regime: runs straddling MIN_FUSED_ROWS at its real value."""
-    import repro.engine.fusion as fusion_mod
-    fusion_mod.MIN_FUSED_ROWS = 32  # undo the autouse fixture
-    elements = list(punctuated_stream(
-        2000, tuples_per_sp=50, policy_size=3,
-        accessible_fraction=0.5, seed=13))
+def test_production_threshold_equivalence(monkeypatch):
+    """Runs straddling the real ``KERNEL_MIN_ROWS`` cutover: a select
+    takes the kernels on some runs and the direct calls on others."""
+    monkeypatch.undo()
+    cutover = select_module.KERNEL_MIN_ROWS
+    assert cutover > 1
+    elements = []
+    tid = 0
+    for segment, length in enumerate(
+            [1, cutover - 1, cutover, cutover + 1, 5 * cutover] * 4):
+        ts = float(tid)
+        elements.append(SecurityPunctuation.grant(
+            ["q_role"] if segment % 3 else ["other"], ts))
+        for _ in range(length):
+            elements.append(DataTuple("synthetic", tid,
+                                      {"x": float(tid * 37 % 1000)},
+                                      ts + 0.5))
+            tid += 1
 
     def make(observability):
         dsms = DSMS(observability=observability)
@@ -175,94 +208,45 @@ def test_production_threshold_equivalence():
             roles={"q_role"})
         return dsms
 
-    assert_all_equivalent(make)
+    assert_all_equivalent(
+        make, {"synthetic": elements},
+        {"q": {"roles": ["q_role"],
+               "plan": select(scan("synthetic"), "x", ">", 300.0)}})
 
 
-# -- fusion detection --------------------------------------------------------
+def test_impure_conjunct_skips_dropped_rows():
+    """An impure UDF conjunct behind a comparison is called only on
+    the rows the comparison kept, once each and in row order — the
+    element-wise ``And`` short-circuit, under batching too."""
+    elements = uniform_stream(4, 10, n_tuples=200)
+    calls = []
 
-def _linear_plan(*operators):
-    plan = PhysicalPlan()
-    nodes = [plan.add(op) for op in operators]
-    for a, b in zip(nodes, nodes[1:]):
-        plan.connect(a, b)
-    plan.connect_source("s1", nodes[0])
-    return plan, nodes
+    def record(item):
+        calls.append(item.tid)
+        return item.values["x"] < 800.0
 
-
-class TestFusionDetection:
-    def test_linear_chain_is_fused(self):
-        plan, nodes = _linear_plan(
-            Select(Comparison("v", ">", 0)),
-            SecurityShield(["D"]),
-            Project(["v"]),
-            CollectingSink())
-        chains = build_fused_chains(plan)
-        assert set(chains) == {nodes[0].node_id}
-        chain = chains[nodes[0].node_id]
-        assert isinstance(chain, FusedChain)
-        assert len(chain) == 3
-        assert chain.tail is nodes[2]
-
-    def test_single_operator_is_not_fused(self):
-        plan, _ = _linear_plan(Select(Comparison("v", ">", 0)),
-                               CollectingSink())
-        assert build_fused_chains(plan) == {}
-
-    def test_shields_only_chain_is_not_fused(self):
-        plan, _ = _linear_plan(SecurityShield(["D"]),
-                               SecurityShield(["D", "N"]),
-                               CollectingSink())
-        assert build_fused_chains(plan) == {}
-
-    def test_fanout_breaks_chain(self):
-        plan = PhysicalPlan()
-        select = plan.add(Select(Comparison("v", ">", 0)))
-        shield_a = plan.add(SecurityShield(["D"]))
-        shield_b = plan.add(SecurityShield(["N"]))
-        sink_a = plan.add(CollectingSink())
-        sink_b = plan.add(CollectingSink())
-        plan.connect(select, shield_a)
-        plan.connect(select, shield_b)
-        plan.connect(shield_a, sink_a)
-        plan.connect(shield_b, sink_b)
-        plan.connect_source("s1", select)
-        # The select fans out: no chain may swallow it or cross it.
-        assert build_fused_chains(plan) == {}
-
-    def test_audit_disables_fusion(self):
-        plan, nodes = _linear_plan(
-            Select(Comparison("v", ">", 0)),
-            SecurityShield(["D"]),
-            CollectingSink())
-        # Any attached audit log removes the operator from fusion (the
-        # fused kernels do not replay per-tuple audit interleavings).
-        nodes[1].operator.audit = object()
-        assert build_fused_chains(plan) == {}
-
-    def test_dsms_plan_produces_fused_chain(self):
-        """The standard DSMS pipeline (σ → π → delivery ψ) fuses."""
+    condition = And([Comparison("x", ">", 500.0),
+                     FuncCondition(record, ["x"], label="record")])
+    assert not condition.conjuncts()[1].is_pure()
+    seen = {}
+    for batching in (False, True):
+        calls.clear()
         dsms = DSMS()
-        dsms.register_stream(SYNTH_SCHEMA, [])
-        expr = (ScanExpr("synthetic")
-                .select(Comparison("x", ">", 100.0))
-                .project(["object_id", "x"]))
-        dsms.register_query("q", expr, roles={"q_role"})
-        plan, _ = dsms.build_plan()
-        chains = build_fused_chains(plan)
-        assert chains, "expected the σ→π→ψ→delivery-ψ chain to fuse"
-        (chain,) = chains.values()
-        names = [type(op).__name__ for op in chain.operators]
-        # auto_shield adds the query's root shield; the delivery shield
-        # is always last.
-        assert names == ["Select", "Project", "SecurityShield",
-                         "SecurityShield"]
-        assert chain.operators[-1].name == "delivery:q"
+        dsms.register_stream(SYNTH_SCHEMA, elements)
+        dsms.register_query(
+            "q", ScanExpr("synthetic").select(condition), roles={"q_role"})
+        dsms.run(batching=batching)
+        seen[batching] = list(calls)
+    kept = [el.tid for el in elements
+            if isinstance(el, DataTuple) and el.values["x"] > 500.0]
+    assert kept and len(kept) < 200
+    assert seen[True] == seen[False] == kept
 
 
-def test_fused_chain_resolves_envelope_once(monkeypatch):
-    """Inside a fused σ → ψ → delivery ψ chain both shields adopt the
-    envelope's head sps through the envelope: one shared resolution
-    per envelope, as on the plain batched path."""
+def test_select_fronted_envelope_resolved_once(monkeypatch):
+    """A select that passes a whole run forwards the envelope itself,
+    so the query and delivery shields below it share one resolution
+    per envelope."""
     from repro.stream import batch as batch_module
 
     elements = uniform_stream(2, 1, n_tuples=120)
@@ -281,8 +265,6 @@ def test_fused_chain_resolves_envelope_once(monkeypatch):
     dsms.register_query(
         "q", ScanExpr("synthetic").select(Comparison("x", ">", -1.0)),
         roles={"q_role"})
-    plan, _ = dsms.build_plan()
-    assert build_fused_chains(plan)
     dsms.run()
     envelopes = [el for el in SPAnalyzer().analyze_batched(iter(elements))
                  if isinstance(el, TupleBatch) and el.sps]

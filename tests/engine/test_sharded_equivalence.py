@@ -3,9 +3,10 @@
 ``DSMS.run(shards=N)`` must be observably identical to ``run()`` for
 every composition it claims: stateless (worker-local) queries, split
 stateful queries (joins), multi-query workloads, every optimizer
-level, the columnar tier, and audited runs — same delivered elements,
-same drop totals, plus the sharded extras (shard-labelled stages and
-audit events, the ``shard_timing`` breakdown).
+level, batched and element-wise execution, and audited runs — same
+delivered elements, same drop totals, plus the sharded extras
+(shard-labelled stages and audit events, the ``shard_timing``
+breakdown).
 """
 
 import random
@@ -91,15 +92,10 @@ def test_optimize_levels_match(level):
 
 
 def test_columnar_tier_composes():
-    from repro.engine import fusion
-
-    saved = fusion.MIN_FUSED_ROWS
-    fusion.MIN_FUSED_ROWS = 1
-    try:
-        base = delivered(build_dsms(4).run(columnar=True))
-        got = delivered(build_dsms(4).run(columnar=True, shards=2))
-    finally:
-        fusion.MIN_FUSED_ROWS = saved
+    """Sharded batched runs, whose selects filter through their column
+    kernels, match the in-process element-wise reference."""
+    base = delivered(build_dsms(4).run(batching=False))
+    got = delivered(build_dsms(4).run(shards=2))
     assert got == base
 
 

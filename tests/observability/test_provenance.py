@@ -18,21 +18,15 @@ from repro.stream.tuples import DataTuple
 
 SCHEMA = StreamSchema("hr", ("patient", "bpm"), key="patient")
 
-#: Execution tiers the acceptance criterion names: element-wise,
-#: segment-batched and columnar-fused.
+#: Execution modes: element-wise and segment-batched.
 MODES = [
     pytest.param({"batching": False}, id="element-wise"),
-    pytest.param({"batching": True, "columnar": False}, id="batched"),
-    pytest.param({"batching": True, "columnar": True}, id="columnar"),
+    pytest.param({"batching": True}, id="batched"),
 ]
 
 
 def segmented_elements(n_per_segment=40):
-    """A denied leading tuple, a granted run, then a denied run.
-
-    Segments are larger than ``MIN_FUSED_ROWS`` so the columnar tier
-    genuinely engages under ``batching=True, columnar=True``.
-    """
+    """A denied leading tuple, a granted run, then a denied run."""
     elements = [DataTuple("hr", 999, {"patient": 9, "bpm": 50}, 0.5)]
     elements.append(
         SecurityPunctuation.grant(["D"], 1.0, provider="patient"))

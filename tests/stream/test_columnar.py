@@ -1,23 +1,19 @@
-"""ColumnBatch layout and predicate/pattern compilation.
+"""ColumnBatch views and predicate compilation.
 
-Property-style checks backing the columnar tier's data layer:
-``ColumnBatch ⇄ TupleBatch`` round-trips must be lossless (order,
-attribute values — including present-``None`` vs absent —, the policy
-column), and every compiled kernel must agree row-for-row with the
-element-wise ``Condition`` / ``Pattern`` evaluation it lowers,
-including the dirty-row rules (absent attribute, ``None``, mixed-type
-``TypeError``) and opaque-conjunct call counting.
+Property-style checks backing batched Select's compiled predicate: a
+:class:`ColumnBatch` wraps a run without copying it and tells absent
+attributes from present-``None`` ones, and every compiled kernel must
+agree row-for-row with the element-wise ``Condition`` evaluation it
+lowers, including the dirty-row rules (absent attribute, ``None``,
+mixed-type ``TypeError``) and opaque-conjunct call counting.
 """
 
 import pytest
 
-from repro.core.bitmap import RoleUniverse
-from repro.core.patterns import (CompositePattern, LiteralPattern,
-                                 RangePattern, SetPattern, WildcardPattern)
-from repro.core.policy import TuplePolicy
-from repro.operators.compiler import (compile_condition, compile_pattern)
+from repro.operators.compiler import compile_condition
 from repro.operators.conditions import (And, Comparison, FuncCondition, Not,
                                         Or, TrueCondition)
+from repro.operators.project import Project
 from repro.stream.batch import TupleBatch
 from repro.stream.columnar import MISSING, ColumnBatch
 from repro.stream.tuples import DataTuple
@@ -38,22 +34,13 @@ def mixed_rows():
     ]
 
 
-# -- round trips -------------------------------------------------------------
+# -- column views --------------------------------------------------------------
 
 class TestRoundTrip:
-    def test_batch_to_columns_and_back_is_lossless(self):
-        rows = mixed_rows()
-        batch = TupleBatch(rows)
-        cb = ColumnBatch.from_batch(batch)
-        back = cb.to_batch()
-        assert back.tuples == rows
-        assert [t.values for t in back.tuples] == [t.values for t in rows]
-        assert [t.ts for t in back.tuples] == [t.ts for t in rows]
-
     def test_round_trip_preserves_identity_without_copying(self):
         rows = mixed_rows()
-        cb = ColumnBatch.from_batch(TupleBatch(rows))
-        assert all(a is b for a, b in zip(cb.to_batch().tuples, rows))
+        cb = ColumnBatch(TupleBatch(rows).tuples)
+        assert cb.tuples is rows
 
     def test_column_distinguishes_absent_from_none(self):
         cb = ColumnBatch(mixed_rows())
@@ -71,52 +58,24 @@ class TestRoundTrip:
         assert not MISSING
         assert repr(MISSING) == "MISSING"
 
-    def test_compress_keeps_rows_columns_and_policies(self):
-        rows = mixed_rows()
-        policies = [TuplePolicy([f"r{i}"]) for i in range(len(rows))]
-        cb = ColumnBatch(rows, policies=policies)
-        cb.column("v")  # populate the cache
-        out = cb.compress([True, False, True, False, True])
-        assert [t.tid for t in out.tuples] == [0, 2, 4]
-        assert out.column("v") == [5.0, MISSING, -1.5]
-        assert [sorted(p.roles.names()) for p in out.policies] == \
-            [["r0"], ["r2"], ["r4"]]
-
     def test_project_keeps_present_none_drops_absent(self):
-        cb = ColumnBatch(mixed_rows())
-        out = cb.project(["v", "x"])
+        """A batched Project over the same dirty rows."""
+        rows = mixed_rows()
+        (out,) = Project(["v", "x"]).process_batch(TupleBatch(rows), 0)
         assert out.tuples[0].values == {"v": 5.0}
         assert out.tuples[1].values == {"v": None}   # present None kept
         assert out.tuples[2].values == {}            # absent stays absent
         assert out.tuples[4].values == {"v": -1.5, "x": 9}
         # Identity fields survive the rebuild.
-        assert [t.tid for t in out.tuples] == [t.tid for t in cb.tuples]
-        assert [t.ts for t in out.tuples] == [t.ts for t in cb.tuples]
-        assert [t.sid for t in out.tuples] == [t.sid for t in cb.tuples]
-
-    def test_role_masks_requires_policy_column(self):
-        cb = ColumnBatch(mixed_rows())
-        with pytest.raises(ValueError):
-            cb.role_masks(RoleUniverse())
-
-    def test_role_masks_encodes_each_row(self):
-        rows = mixed_rows()[:3]
-        policies = [TuplePolicy(["a"]), TuplePolicy(["a", "b"]),
-                    TuplePolicy(["b"])]
-        universe = RoleUniverse(["a", "b"])
-        cb = ColumnBatch(rows, policies=policies)
-        masks = cb.role_masks(universe)
-        assert masks == [universe.encode(frozenset({"a"})),
-                         universe.encode(frozenset({"a", "b"})),
-                         universe.encode(frozenset({"b"}))]
+        assert [t.tid for t in out.tuples] == [t.tid for t in rows]
+        assert [t.ts for t in out.tuples] == [t.ts for t in rows]
+        assert [t.sid for t in out.tuples] == [t.sid for t in rows]
 
     def test_basics(self):
         rows = mixed_rows()
         cb = ColumnBatch(rows)
         assert len(cb) == len(rows)
-        assert list(cb) == rows
-        assert cb.ts == rows[-1].ts
-        assert cb.attributes() == frozenset({"v", "w", "x"})
+        assert cb.column("x") == [MISSING] * 4 + [9]
 
 
 # -- purity classification ---------------------------------------------------
@@ -229,19 +188,3 @@ class TestCompiledPredicate:
         rows = [tup(0, {"v": "a"}), tup(1, {"v": "b"})]
         assert_mask_matches(Comparison("v", "<", 1.0), rows)
 
-
-# -- compiled patterns -------------------------------------------------------
-
-class TestCompiledPattern:
-    @pytest.mark.parametrize("pattern", [
-        WildcardPattern(),
-        LiteralPattern(3),
-        SetPattern([1, "2", 3]),
-        RangePattern(2, 7),
-        CompositePattern([LiteralPattern(1), RangePattern(5, 9)]),
-    ], ids=lambda p: type(p).__name__)
-    def test_kernel_matches_elementwise(self, pattern):
-        column = [1, 2, 3, "3", 5.0, None, "x", 7]
-        kernel = compile_pattern(pattern)
-        assert [bool(f) for f in kernel(column)] == \
-            [bool(pattern.matches(v)) for v in column]

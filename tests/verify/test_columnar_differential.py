@@ -1,13 +1,12 @@
-"""Differential proof for the fused columnar execution tier.
+"""Differential proof for batched Select's column kernels.
 
 Every committed reproducer case and a fresh block of generated
 scenarios must deliver the oracle's exact multiset under
-``columnar/nl/none`` — the segment-batched engine with fused
-shield/select/project kernels forced onto every run length — and agree
-with the element-wise engine on the whole-plan drop counter.  The full
-three-mode cross-product (including optimizer levels and the audited
-run) is exercised by ``verify_scenario`` itself, which since the
-columnar tier landed includes a ``columnar/*/*`` config per plan.
+``batched/nl/none`` — segment-batched execution, where each select
+filters its runs through the compiled predicate kernels over column
+views, here on every run length — and agree with the element-wise
+engine on the whole-plan drop counter.  The full cross-product (optimizer levels, audited, traced and
+sharded runs) is exercised by ``verify_scenario`` itself.
 """
 
 import os
@@ -15,8 +14,8 @@ from collections import Counter
 
 import pytest
 
-from repro.verify.differ import (EngineConfig, configs_for, diff_delivered,
-                                 run_engine)
+from repro.operators import select as select_module
+from repro.verify.differ import EngineConfig, diff_delivered, run_engine
 from repro.verify.generator import generate_scenario
 from repro.verify.oracle import run_oracle
 from repro.verify.shrink import load_cases
@@ -24,32 +23,30 @@ from repro.verify.shrink import load_cases
 CASES_DIR = os.path.join(os.path.dirname(__file__), "cases")
 CASES = load_cases(CASES_DIR)
 
-COLUMNAR = EngineConfig(label="columnar/nl/none", batching=True,
-                        columnar=True)
+BATCHED = EngineConfig(label="batched/nl/none", batching=True)
 ELEMENTWISE = EngineConfig(label="elementwise/nl/none", batching=False)
 
-#: Generated-scenario block: seed fixed for reproducibility, size is
-#: the satellite's floor.
+#: Generated-scenario block: seed fixed for reproducibility.
 GENERATED_SEED = 733
 GENERATED_COUNT = 24
 
 
+@pytest.fixture(autouse=True)
+def force_kernels(monkeypatch):
+    """Generated segments are short, well under the kernels' run-length
+    cutover — lower it so the kernels actually run."""
+    monkeypatch.setattr(select_module, "KERNEL_MIN_ROWS", 1)
+
+
 def assert_columnar_matches_oracle(scenario):
     oracle = run_oracle(scenario.decoded(), scenario.queries)
-    columnar = run_engine(scenario, COLUMNAR)
+    batched = run_engine(scenario, BATCHED)
     element = run_engine(scenario, ELEMENTWISE)
     for name in scenario.queries:
         detail = diff_delivered(oracle.delivered[name],
-                                columnar.delivered.get(name, Counter()))
+                                batched.delivered.get(name, Counter()))
         assert detail is None, f"{scenario.describe()} {name}: {detail}"
-    assert columnar.total_drops == element.total_drops
-
-
-def test_configs_include_columnar_axis():
-    scenario = generate_scenario(GENERATED_SEED, 0)
-    modes = {config.mode for config in configs_for(scenario)}
-    assert "columnar" in modes and "batched" in modes \
-        and "elementwise" in modes
+    assert batched.total_drops == element.total_drops
 
 
 @pytest.mark.parametrize("name,scenario", CASES,
